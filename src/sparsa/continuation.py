@@ -8,7 +8,7 @@ matvecs than attacking the target weight directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,13 +68,15 @@ def solve_with_continuation(
 ) -> ContinuationResult:
     """Warm-started solves over the schedule's weights.
 
-    The combined trace renumbers iterations across stages; matvec counts
-    accumulate on the problem's shared operator, so the final count
-    aggregates every stage (including the one gradient evaluation used
-    to size the initial weight). Stage summaries report per-stage
-    iteration and matvec increments.
+    The combined trace renumbers iterations across stages and offsets each
+    stage's ``matvecs`` and ``wall_time`` columns by what the earlier
+    stages spent, so both only go up. Matvecs count from the start of this
+    call, including the one gradient evaluation used to size the initial
+    weight; wall time is the sum of the stage solves. Stage summaries
+    report per-stage iteration and matvec increments.
     """
     cfg = cfg or SolverConfig()
+    matvecs_start = int(getattr(problem, "matvec_total", 0))
     scale = float(np.max(np.abs(problem.f_grad(np.zeros_like(np.asarray(problem.x1, dtype=float))))))
     taus = schedule.stages(scale)
 
@@ -97,19 +99,14 @@ def solve_with_continuation(
             result = solve(stage_problem, stage_cfg)
         except Exception as exc:
             raise RuntimeError(f"continuation stage {i} (tau={tau_i:g}) failed") from exc
+        spent = matvecs_before - matvecs_start
         for rec in result.trace.records:
             records.append(
-                TraceRecord(
+                replace(
+                    rec,
                     k=rec.k + offset,
-                    obj=rec.obj,
-                    phi_ref=rec.phi_ref,
-                    alpha_seed=rec.alpha_seed,
-                    alpha_accepted=rec.alpha_accepted,
-                    backtracks=rec.backtracks,
-                    step_norm=rec.step_norm,
-                    step_inf=rec.step_inf,
-                    matvecs=rec.matvecs,
-                    wall_time=rec.wall_time,
+                    matvecs=rec.matvecs + spent,
+                    wall_time=rec.wall_time + total_wall,
                 )
             )
         offset += len(result.trace.records)
@@ -127,7 +124,7 @@ def solve_with_continuation(
 
     summary = result.trace.summary
     summary.iters = len(records)
-    summary.matvecs = int(getattr(problem, "matvec_total", 0))
+    summary.matvecs = matvecs_before - matvecs_start
     summary.wall_time = total_wall
     return ContinuationResult(
         x=result.x,

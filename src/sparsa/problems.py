@@ -101,6 +101,9 @@ class OracleProblem:
 
     matvec_total = 0
 
+    def replaced(self, **kwargs) -> "OracleProblem":
+        return replace(self, **kwargs)
+
 
 # -- generators ---------------------------------------------------------------
 

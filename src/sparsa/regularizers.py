@@ -16,6 +16,7 @@ depends on this convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,9 +201,14 @@ def tv_gradient(z: np.ndarray):
     return gx, gy
 
 
-def tv_divergence(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Negative adjoint of :func:`tv_gradient` (<grad z, p> = -<z, div p>)."""
-    div = np.zeros_like(px)
+def tv_divergence(px: np.ndarray, py: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Negative adjoint of :func:`tv_gradient` (<grad z, p> = -<z, div p>).
+
+    With ``out`` the divergence is written into that array (same shape as
+    ``px``) instead of a fresh one; the arithmetic is the same either way.
+    """
+    div = np.empty_like(px) if out is None else out
+    div.fill(0.0)
     if px.shape[1] > 1:
         div[:, 0] += px[:, 0]
         div[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
@@ -236,6 +242,19 @@ def tv_prox(
     2/L for the dual gradient (L <= 8 weight^2), so the dual objective
     decreases monotonically. Returns ``(z, p)``; pass ``p`` back as ``p0``
     to warm-start the next call. The result is never worse than ``z = u``.
+
+    The loop stops once an iteration moves no dual entry by more than
+    ``tol``. The test needs no scale: after projection every ``|p|`` entry is
+    at most 1 exactly, because ``|q_x| = sqrt(fl(q_x^2)) <= sqrt(fl(q_x^2 +
+    q_y^2))`` under round-to-nearest, so ``max(1, max|p|)`` would be 1.
+
+    The working arrays are allocated once per call and updated in place:
+    the dual step ``q`` (both planes in one array, swapped with ``p`` after
+    each iteration), one buffer that holds ``q^2`` and then ``|q - p|`` for
+    both planes, the per-pixel norm, the divergence and ``z``. Non-finite
+    values raise :class:`FloatingPointError`: ``z`` is checked before and
+    after the loop, and a non-finite ``z`` inside it makes the next dual
+    change NaN.
     """
     u = np.asarray(u, dtype=float)
     if weight < 0:
@@ -243,31 +262,53 @@ def tv_prox(
     if weight == 0.0:
         return u.copy(), np.zeros((2,) + u.shape)
     p = np.zeros((2,) + u.shape) if p0 is None else np.array(p0, dtype=float)
-    px, py = p[0], p[1]
-    z = u + weight * tv_divergence(px, py)
+    q = np.empty_like(p)
+    diff = np.empty_like(p)
+    norm = np.empty_like(u)
+    div = np.empty_like(u)
+    z = np.empty_like(u)
+    scale = step / weight
+
+    def update_z():
+        np.multiply(tv_divergence(p[0], p[1], out=div), weight, out=div)
+        np.add(u, div, out=z)
+
+    update_z()
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("TV inner solver produced non-finite values")
     for _ in range(max_iters):
         if dual_history is not None:
             dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
-        gx, gy = tv_gradient(z)
-        qx = px + (step / weight) * gx
-        qy = py + (step / weight) * gy
-        norms = np.maximum(1.0, np.sqrt(qx**2 + qy**2))
-        qx /= norms
-        qy /= norms
-        change = max(np.max(np.abs(qx - px)), np.max(np.abs(qy - py)))
-        px, py = qx, qy
-        z = u + weight * tv_divergence(px, py)
-        if not np.all(np.isfinite(z)):
+        # q = p + scale * grad z, forward differences with a zero far edge
+        np.subtract(z[:, 1:], z[:, :-1], out=q[0, :, :-1])
+        q[0, :, -1] = 0.0
+        np.subtract(z[1:, :], z[:-1, :], out=q[1, :-1, :])
+        q[1, -1, :] = 0.0
+        q *= scale
+        q += p
+        np.multiply(q, q, out=diff)
+        np.add(diff[0], diff[1], out=norm)
+        np.sqrt(norm, out=norm)
+        np.maximum(norm, 1.0, out=norm)
+        q /= norm
+        np.subtract(q, p, out=diff)
+        np.abs(diff, out=diff)
+        change = float(diff.max())
+        if math.isnan(change):
             raise FloatingPointError("TV inner solver produced non-finite values")
-        if change <= tol * max(1.0, np.max(np.abs(px)), np.max(np.abs(py))):
+        p, q = q, p
+        update_z()
+        if change <= tol:
             break
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("TV inner solver produced non-finite values")
     if dual_history is not None:
         dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
     # inexact inner solves must never move above the trivial feasible point
     obj_z = 0.5 * float(np.sum((z - u) ** 2)) + weight * tv_value_2d(z)
     if obj_z > weight * tv_value_2d(u):
         return u.copy(), np.zeros((2,) + u.shape)
-    return z, np.stack([px, py])
+    return z, p
 
 
 class TVProxState:

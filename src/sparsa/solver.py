@@ -24,7 +24,7 @@ import csv
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,9 @@ class SolverConfig:
     first_seed: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.eta > 1:
             raise ValueError("eta must be > 1")
         if not 0 < self.sigma < 1:
@@ -365,7 +368,8 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
 
     ``problem`` must provide ``f_value(x)``, ``f_grad(x)``, a
     ``regularizer`` and a starting point ``x1``; a ``matvec_total``
-    attribute, when present, feeds the per-iteration cost column. The
+    attribute, when present, feeds the per-iteration cost column, counted
+    from the start of this solve (the operator's earlier work excluded). The
     run is single-threaded, owns all mutable state, and is deterministic:
     identical inputs produce identical traces (wall times aside).
     """
@@ -375,6 +379,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
     t0 = time.perf_counter()
+    matvecs0 = int(getattr(problem, "matvec_total", 0))
 
     obj = float(problem.f_value(x)) + reg.value(x)
     if not math.isfinite(obj):
@@ -417,7 +422,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
                 backtracks=j,
                 step_norm=step_norm,
                 step_inf=step_inf,
-                matvecs=int(getattr(problem, "matvec_total", 0)),
+                matvecs=int(getattr(problem, "matvec_total", 0)) - matvecs0,
                 wall_time=time.perf_counter() - t0,
             )
         )
@@ -441,7 +446,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
     summary = SolveSummary(
         status=status,
         iters=len(records),
-        matvecs=int(getattr(problem, "matvec_total", 0)),
+        matvecs=int(getattr(problem, "matvec_total", 0)) - matvecs0,
         final_obj=obj,
         final_residual=final_residual,
         wall_time=time.perf_counter() - t0,

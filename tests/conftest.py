@@ -29,6 +29,31 @@ def golden_min(f, lo, hi, tol=1e-14):
     return float(0.5 * (a + b))
 
 
+def _tv_gradient(z):
+    """Forward differences with a zero far row/column."""
+    gx = np.zeros_like(z)
+    gy = np.zeros_like(z)
+    if z.shape[1] > 1:
+        gx[:, :-1] = z[:, 1:] - z[:, :-1]
+    if z.shape[0] > 1:
+        gy[:-1, :] = z[1:, :] - z[:-1, :]
+    return gx, gy
+
+
+def _tv_divergence(px, py):
+    """Negative adjoint of the forward differences, accumulated with +=."""
+    div = np.zeros_like(px)
+    if px.shape[1] > 1:
+        div[:, 0] += px[:, 0]
+        div[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
+        div[:, -1] += -px[:, -2]
+    if py.shape[0] > 1:
+        div[0, :] += py[0, :]
+        div[1:-1, :] += py[1:-1, :] - py[:-2, :]
+        div[-1, :] += -py[-2, :]
+    return div
+
+
 def tv_prox_dual_oracle(u, weight, iters=100_000, step=0.125):
     """Long-run dual projected gradient for the weighted-TV prox.
 
@@ -40,31 +65,57 @@ def tv_prox_dual_oracle(u, weight, iters=100_000, step=0.125):
     px = np.zeros_like(u)
     py = np.zeros_like(u)
     for _ in range(iters):
-        div = np.zeros_like(u)
-        div[:, 0] += px[:, 0]
-        div[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
-        div[:, -1] += -px[:, -2]
-        div[0, :] += py[0, :]
-        div[1:-1, :] += py[1:-1, :] - py[:-2, :]
-        div[-1, :] += -py[-2, :]
-        z = u + weight * div
-        gx = np.zeros_like(z)
-        gy = np.zeros_like(z)
-        gx[:, :-1] = z[:, 1:] - z[:, :-1]
-        gy[:-1, :] = z[1:, :] - z[:-1, :]
+        z = u + weight * _tv_divergence(px, py)
+        gx, gy = _tv_gradient(z)
         px = px + (step / weight) * gx
         py = py + (step / weight) * gy
         norms = np.maximum(1.0, np.sqrt(px**2 + py**2))
         px /= norms
         py /= norms
-    div = np.zeros_like(u)
-    div[:, 0] += px[:, 0]
-    div[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
-    div[:, -1] += -px[:, -2]
-    div[0, :] += py[0, :]
-    div[1:-1, :] += py[1:-1, :] - py[:-2, :]
-    div[-1, :] += -py[-2, :]
-    return u + weight * div
+    return u + weight * _tv_divergence(px, py)
+
+
+def tv_prox_plain_loop(u, weight, p0=None, max_iters=40, tol=1e-5, step=0.248, dual_history=None):
+    """The TV prox written as a plain dual loop with fresh arrays each step.
+
+    Same contract and the same floating-point operations, in the same
+    order, as ``sparsa.regularizers.tv_prox``, so the two must agree bit
+    for bit. Kept as the reference the buffered implementation is checked
+    against; it also keeps the tolerance scale ``max(1, max|px|, max|py|)``.
+    """
+    u = np.asarray(u, dtype=float)
+    if weight == 0.0:
+        return u.copy(), np.zeros((2,) + u.shape)
+    p = np.zeros((2,) + u.shape) if p0 is None else np.array(p0, dtype=float)
+    px, py = p[0], p[1]
+    z = u + weight * _tv_divergence(px, py)
+    for _ in range(max_iters):
+        if dual_history is not None:
+            dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
+        gx, gy = _tv_gradient(z)
+        qx = px + (step / weight) * gx
+        qy = py + (step / weight) * gy
+        norms = np.maximum(1.0, np.sqrt(qx**2 + qy**2))
+        qx /= norms
+        qy /= norms
+        change = max(np.max(np.abs(qx - px)), np.max(np.abs(qy - py)))
+        px, py = qx, qy
+        z = u + weight * _tv_divergence(px, py)
+        if not np.all(np.isfinite(z)):
+            raise FloatingPointError("TV inner solver produced non-finite values")
+        if change <= tol * max(1.0, np.max(np.abs(px)), np.max(np.abs(py))):
+            break
+    if dual_history is not None:
+        dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
+
+    def tv(img):
+        gx, gy = _tv_gradient(img)
+        return float(np.sum(np.sqrt(gx**2 + gy**2)))
+
+    obj_z = 0.5 * float(np.sum((z - u) ** 2)) + weight * tv(z)
+    if obj_z > weight * tv(u):
+        return u.copy(), np.zeros((2,) + u.shape)
+    return z, np.stack([px, py])
 
 
 def tv_objective(z, u, weight):

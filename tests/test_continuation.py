@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sparsa.continuation import ContinuationSchedule, solve_with_continuation
-from sparsa.problems import gen_bpdn
+from sparsa.problems import OracleProblem, gen_bpdn
+from sparsa.regularizers import L1Regularizer, soft_threshold
 from sparsa.solver import SolverConfig, solve
 
 
@@ -77,6 +78,45 @@ class TestSolveWithContinuation:
         assert ks == list(range(1, len(ks) + 1))
         # stage increments plus the initial weight-sizing gradient cover the total
         assert sum(s["matvecs"] for s in res.stages) + 2 == prob.matvec_total
+
+    def test_merged_columns_never_decrease(self):
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-3)
+        solve(prob, SolverConfig(eps=1e-6))  # earlier work on the same operator
+        before = prob.matvec_total
+        res = solve_with_continuation(
+            prob, ContinuationSchedule(tau_target=1e-3), SolverConfig(eps=1e-6)
+        )
+        assert len(res.stages) > 1
+        # per-call count: the sizing gradient plus every stage, nothing earlier
+        assert res.trace.summary.matvecs == prob.matvec_total - before
+        assert res.trace.summary.matvecs == sum(s["matvecs"] for s in res.stages) + 2
+        matvecs = res.trace.matvec_values()
+        walls = np.array([r.wall_time for r in res.trace.records])
+        assert np.all(np.diff(matvecs) > 0)
+        assert matvecs[-1] <= res.trace.summary.matvecs
+        assert np.all(np.diff(walls) >= 0)
+        assert walls[-1] <= res.trace.summary.wall_time
+
+    def test_oracle_problem_with_known_l1_solution(self):
+        # f(x) = 0.5 sum d_i (x_i - c_i)^2 with tau ||x||_1 is solved
+        # coordinatewise by x_i = soft(c_i, tau / d_i)
+        rng = np.random.default_rng(12)
+        d = rng.uniform(0.5, 4.0, size=20)
+        c = rng.standard_normal(20)
+        tau = 1e-3
+        prob = OracleProblem(
+            value_fn=lambda x: 0.5 * float(np.sum(d * (x - c) ** 2)),
+            grad_fn=lambda x: d * (x - c),
+            regularizer=L1Regularizer(tau),
+            x1=np.zeros(20),
+        )
+        res = solve_with_continuation(
+            prob, ContinuationSchedule(tau_target=tau), SolverConfig(eps=1e-10)
+        )
+        assert len(res.stages) > 1
+        assert res.stages[-1]["tau"] == tau
+        assert res.status == "converged"
+        assert np.max(np.abs(res.x - soft_threshold(c, tau / d))) <= 1e-8
 
     def test_beats_plain_solve_at_small_tau(self):
         wins = 0

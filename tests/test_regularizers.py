@@ -17,7 +17,7 @@ from sparsa.regularizers import (
     tv_prox,
     tv_value_2d,
 )
-from conftest import golden_min, tv_objective, tv_prox_dual_oracle
+from conftest import golden_min, tv_objective, tv_prox_dual_oracle, tv_prox_plain_loop
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -218,7 +218,63 @@ class TestProxProperties:
         assert state.p is not None and state.p.shape == (2, 4, 4)
 
 
+class TestTvProxAgainstPlainLoop:
+    @pytest.mark.parametrize("shape", [(12, 9), (1, 6), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("with_history", [False, True])
+    def test_warm_started_calls_bitwise_equal(self, rng, shape, with_history):
+        u = rng.standard_normal(shape)
+        p_new = p_old = None
+        for call in range(12):
+            u = u + 0.2 * rng.standard_normal(shape)
+            weight = (0.02, 0.3, 1.5)[call % 3]
+            tol = (1e-5, 1e-2, 0.0, 0.3)[call % 4]  # early exits and full runs
+            hist_new = [] if with_history else None
+            hist_old = [] if with_history else None
+            z_new, p_new = tv_prox(u, weight, p0=p_new, tol=tol, dual_history=hist_new)
+            z_old, p_old = tv_prox_plain_loop(u, weight, p0=p_old, tol=tol, dual_history=hist_old)
+            assert z_new.shape == z_old.shape and p_new.shape == p_old.shape
+            # tobytes also tells +0.0 from -0.0
+            assert z_new.tobytes() == z_old.tobytes()
+            assert p_new.tobytes() == p_old.tobytes()
+            assert hist_new == hist_old
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, rng, bad):
+        u = rng.standard_normal((5, 6))
+        u[2, 3] = bad
+        with pytest.raises(FloatingPointError):
+            tv_prox(u, 0.3)
+        with pytest.raises(FloatingPointError):
+            TVIsoRegularizer(0.6, (5, 6)).prox(u.ravel(), 1.0)
+
+    def test_non_finite_warm_start_raises(self, rng):
+        u = rng.standard_normal((5, 6))
+        p0 = np.zeros((2, 5, 6))
+        p0[0, 1, 2] = np.nan
+        with pytest.raises(FloatingPointError):
+            tv_prox(u, 0.3, p0=p0)
+
+    def test_dual_field_within_unit_ball_after_each_projection(self, rng):
+        # a long dual step pushes most pixels far outside the ball, and one
+        # component much larger than the other makes |p_x| land on 1
+        u = rng.standard_normal((16, 16)) * 100.0
+        u[:, ::2] *= 1e-9
+        p = None
+        for _ in range(30):
+            _, p = tv_prox(u, 1e-3, p0=p, max_iters=1, tol=0.0, step=10.0)
+            assert np.max(np.abs(p)) <= 1.0
+        assert np.max(np.abs(p)) == 1.0
+
+
 class TestTvOperators:
+    def test_divergence_into_buffer_matches_fresh_array(self, rng):
+        px = rng.standard_normal((5, 7))
+        py = rng.standard_normal((5, 7))
+        out = np.full((5, 7), np.nan)  # stale contents must not leak through
+        div = tv_divergence(px, py, out=out)
+        assert div is out
+        assert div.tobytes() == tv_divergence(px, py).tobytes()
+
     def test_gradient_divergence_adjoint_identity(self, rng):
         z = rng.standard_normal((5, 7))
         px = rng.standard_normal((5, 7))

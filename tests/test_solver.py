@@ -329,6 +329,14 @@ class TestSolve:
         expected = 3 + expected_trials + 2 * (iters - (1 if res.status == "stationary" else 0))
         assert prob.matvec_total == expected
 
+    def test_matvecs_count_this_solve_only(self):
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=9)
+        first = solve(prob, SolverConfig(eps=1e-7))
+        second = solve(prob, SolverConfig(eps=1e-7))
+        assert first.trace.summary.matvecs == second.trace.summary.matvecs > 0
+        assert second.trace.matvec_values().tolist() == first.trace.matvec_values().tolist()
+        assert prob.matvec_total == 2 * first.trace.summary.matvecs
+
 
 class TestStationarityResidual:
     def test_zero_at_optimal_support_point(self):
@@ -393,6 +401,14 @@ class TestConfigValidation:
     def test_rejects_inverted_alpha_bounds(self):
         with pytest.raises(ValueError):
             SolverConfig(alpha_min=1.0, alpha_max=0.5)
+
+    @pytest.mark.parametrize(
+        "name", ["eta", "sigma", "alpha_min", "alpha_max", "adapt_Delta", "eps", "first_seed"]
+    )
+    def test_rejects_non_finite_float_field(self, name):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
