@@ -24,12 +24,10 @@ from .harness import (
 from .linops import (
     Blur2D,
     ComposedOperator,
-    CountingOperator,
     DenseOperator,
     HaarSynthesis2D,
     IdentityOperator,
     LinearOperator,
-    MatvecCounter,
     PartialFourier2D,
     haar_analysis_2d,
     haar_synthesis_2d,
@@ -72,7 +70,6 @@ from .solver import (
     gll_reference,
     line_search_step,
     solve,
-    stationarity_residual,
 )
 
 __version__ = "0.1.0"

@@ -97,18 +97,6 @@ def cmd_bench(args):
 
 def cmd_rates(args):
     trace = Trace.read_csv(args.trace)
-    if args.summary:
-        summary = _load_json(args.summary)
-        from .solver import SolveSummary
-
-        trace.summary = SolveSummary(
-            status=summary["status"],
-            iters=summary["iters"],
-            matvecs=summary["matvecs"],
-            final_obj=summary["final_obj"],
-            final_residual=summary["final_residual"],
-            wall_time=summary["wall_time"],
-        )
     fit = fit_rates(trace, args.phi_star, burn_in=args.burn_in)
     _write_json(args.out, fit.to_dict())
     print(json.dumps(fit.to_dict(), indent=2))
@@ -155,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="fit convergence rates from a trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--summary", help="summary JSON (for the final objective)")
     p.add_argument("--phi-star", type=float, required=True, dest="phi_star")
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     p.add_argument("--out", required=True, help="rate-fit JSON output")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -93,16 +93,7 @@ class RateFit:
     mu_hat: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "a_hat": self.a_hat,
-            "b_hat": self.b_hat,
-            "sublinear_ok": self.sublinear_ok,
-            "theta_hat": self.theta_hat,
-            "c_hat": self.c_hat,
-            "residual_r2": self.residual_r2,
-            "burn_in": self.burn_in,
-            "mu_hat": self.mu_hat,
-        }
+        return asdict(self)
 
 
 def fit_rates(trace: Trace, phi_star: float, burn_in: int | None = None) -> RateFit:
@@ -160,11 +151,7 @@ class Variant:
     continuation: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "config": self.config.to_dict(),
-            "continuation": self.continuation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Variant":
@@ -203,13 +190,7 @@ class ExperimentSpec:
     output_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "generator": self.generator.to_dict(),
-            "variants": [v.to_dict() for v in self.variants],
-            "tolerances": self.tolerances,
-            "repetitions": self.repetitions,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":

@@ -2,44 +2,14 @@
 
 Every operator maps real vectors of length ``domain_dim`` to real vectors
 of length ``range_dim`` and knows its adjoint. Images are handled as
-row-major flattened vectors. Each instance carries a thread-safe counter
-of forward/adjoint applications; the sum of the two is the "Ax" cost
-statistic reported by the benchmark harness.
+row-major flattened vectors. Each instance counts its forward and adjoint
+applications; the sum of the two is the "Ax" cost statistic reported by
+the benchmark harness.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
-
-
-class MatvecCounter:
-    """Thread-safe counter of forward and adjoint applications."""
-
-    __slots__ = ("_lock", "forward_count", "adjoint_count")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.forward_count = 0
-        self.adjoint_count = 0
-
-    def add_forward(self):
-        with self._lock:
-            self.forward_count += 1
-
-    def add_adjoint(self):
-        with self._lock:
-            self.adjoint_count += 1
-
-    @property
-    def total(self) -> int:
-        return self.forward_count + self.adjoint_count
-
-    def reset(self):
-        with self._lock:
-            self.forward_count = 0
-            self.adjoint_count = 0
 
 
 class LinearOperator:
@@ -47,9 +17,8 @@ class LinearOperator:
 
     Subclasses set ``kind`` and implement ``_apply`` / ``_adjoint`` on
     validated 1-D float arrays. Instances are immutable after
-    construction except for the counter; to share one operator across
-    concurrent solves, give each solve its own :class:`CountingOperator`
-    wrapper.
+    construction except for the ``forward_count`` and ``adjoint_count``
+    application counters.
     """
 
     kind = "abstract"
@@ -59,58 +28,30 @@ class LinearOperator:
             raise ValueError("operator dimensions must be positive")
         self.domain_dim = int(domain_dim)
         self.range_dim = int(range_dim)
-        self.counter = MatvecCounter()
+        self.forward_count = 0
+        self.adjoint_count = 0
 
     # -- public interface ---------------------------------------------------
 
     def apply(self, x) -> np.ndarray:
         """Return ``A x``. Counts one forward application."""
         x = self._check_vector(x, self.domain_dim, "apply")
-        self.counter.add_forward()
+        self.forward_count += 1
         return self._apply(x)
 
     def adjoint(self, y) -> np.ndarray:
         """Return ``A^T y``. Counts one adjoint application."""
         y = self._check_vector(y, self.range_dim, "adjoint")
-        self.counter.add_adjoint()
+        self.adjoint_count += 1
         return self._adjoint(y)
 
     @property
-    def forward_count(self) -> int:
-        return self.counter.forward_count
-
-    @property
-    def adjoint_count(self) -> int:
-        return self.counter.adjoint_count
-
-    @property
     def matvec_total(self) -> int:
-        return self.counter.total
+        return self.forward_count + self.adjoint_count
 
     def reset_counters(self):
-        self.counter.reset()
-
-    def norm_sq_estimate(self, iters: int = 100, seed: int = 0) -> float:
-        """Power-iteration estimate of ``||A||^2 = lambda_max(A^T A)``.
-
-        Returns the Rayleigh quotient after ``iters`` steps from a seeded
-        random start, which is nondecreasing in ``iters``. Costs one
-        forward and one adjoint application per step (counted).
-        """
-        if iters < 1:
-            raise ValueError("iters must be >= 1")
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.domain_dim)
-        v /= np.linalg.norm(v)
-        rayleigh = 0.0
-        for _ in range(iters):
-            z = self.adjoint(self.apply(v))
-            rayleigh = float(v @ z)
-            nz = np.linalg.norm(z)
-            if nz == 0.0:
-                return 0.0
-            v = z / nz
-        return rayleigh
+        self.forward_count = 0
+        self.adjoint_count = 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -350,26 +291,7 @@ class ComposedOperator(LinearOperator):
         return self.inner.adjoint(self.outer.adjoint(y))
 
     def reset_counters(self):
-        self.counter.reset()
+        super().reset_counters()
         self.outer.reset_counters()
         self.inner.reset_counters()
 
-
-class CountingOperator(LinearOperator):
-    """Per-solve counting wrapper around a shared operator.
-
-    Keeps its own counter while delegating to (and therefore also
-    counting on) the wrapped operator. Use one wrapper per concurrent
-    solve when the underlying operator is shared.
-    """
-
-    def __init__(self, inner: LinearOperator):
-        self.inner = inner
-        super().__init__(inner.domain_dim, inner.range_dim)
-        self.kind = inner.kind
-
-    def _apply(self, x):
-        return self.inner.apply(x)
-
-    def _adjoint(self, y):
-        return self.inner.adjoint(y)

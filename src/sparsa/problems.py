@@ -14,7 +14,7 @@ seeded 64-bit PCG generator (0: operator/matrix, 1: signal/support,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -388,7 +388,7 @@ class GeneratorSpec:
         return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
-        return {"family": self.family, "params": self.params, "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":

@@ -15,7 +15,6 @@ depends on this convention.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,11 +30,14 @@ def soft_threshold(u: np.ndarray, t: float) -> np.ndarray:
 
 
 class Regularizer:
-    """Base class: value, scaled prox, and subgradient certificates.
+    """Base class: value, scaled prox, and the stationarity residual.
 
-    Instances are immutable and shareable across solves; any per-solve
-    iteration state (the TV dual field) lives in the object returned by
-    :meth:`make_prox_state`, owned by the caller.
+    :meth:`stationarity_residual` is the one place that knows the
+    regularizer's subdifferential; kinds without a closed form for it
+    (tv-iso) inherit the base method, which raises. Instances are immutable
+    and shareable across solves; any per-solve iteration state (the TV dual
+    field) lives in the object returned by :meth:`make_prox_state`, owned
+    by the caller.
     """
 
     kind = "abstract"
@@ -56,13 +58,15 @@ class Regularizer:
         """Per-solve mutable state for iterative proxes (None if exact)."""
         return None
 
-    def subgradient_check(self, x, p, tol: float = 1e-10):
-        """Whether ``p`` certifies membership in the subdifferential at ``x``.
+    def stationarity_residual(self, x, g) -> float:
+        """Max-norm distance from ``-g`` to the subdifferential of psi at ``x``.
 
-        Returns True/False for closed-form kinds and None where no closed-form
-        test exists (tv-iso).
+        With ``g = grad f(x)`` this is zero exactly at stationary points of
+        ``f + psi``.
         """
-        raise NotImplementedError
+        raise UnsupportedRegularizer(
+            f"no closed-form stationarity test for kind {self.kind!r}"
+        )
 
     def with_tau(self, tau: float) -> "Regularizer":
         """Copy of this regularizer with a different weight."""
@@ -70,6 +74,13 @@ class Regularizer:
 
     def _check_dim(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
+
+    def _check_pair(self, x, g):
+        x = self._check_dim(x)
+        g = self._check_dim(g)
+        if x.shape != g.shape:
+            raise ValueError("x and g must have the same length")
+        return x, g
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "tau": self.tau}
@@ -87,8 +98,9 @@ class ZeroRegularizer(Regularizer):
     def prox(self, u, alpha, state=None):
         return np.array(u, dtype=float)
 
-    def subgradient_check(self, x, p, tol: float = 1e-10):
-        return bool(np.all(np.abs(np.asarray(p, dtype=float)) <= tol))
+    def stationarity_residual(self, x, g) -> float:
+        _, g = self._check_pair(x, g)
+        return float(np.max(np.abs(g))) if g.size else 0.0
 
     def with_tau(self, tau):
         return ZeroRegularizer(tau)
@@ -107,15 +119,14 @@ class L1Regularizer(Regularizer):
             raise ValueError("alpha must be positive")
         return soft_threshold(self._check_dim(u), self.tau / (2.0 * alpha))
 
-    def subgradient_check(self, x, p, tol: float = 1e-10):
-        x = self._check_dim(x)
-        p = self._check_dim(p)
-        if x.shape != p.shape:
-            raise ValueError("x and p must have the same length")
-        nonzero = x != 0
-        ok_nonzero = np.all(np.abs(p[nonzero] - self.tau * np.sign(x[nonzero])) <= tol)
-        ok_zero = np.all(np.abs(p[~nonzero]) <= self.tau + tol)
-        return bool(ok_nonzero and ok_zero)
+    def stationarity_residual(self, x, g) -> float:
+        x, g = self._check_pair(x, g)
+        res = np.where(
+            x != 0,
+            np.abs(g + self.tau * np.sign(x)),
+            np.maximum(np.abs(g) - self.tau, 0.0),
+        )
+        return float(np.max(res)) if res.size else 0.0
 
     def with_tau(self, tau):
         return L1Regularizer(tau)
@@ -163,18 +174,18 @@ class GroupL2Regularizer(Regularizer):
             z[g] = scale * block
         return z
 
-    def subgradient_check(self, x, p, tol: float = 1e-10):
-        x = self._check_dim(x)
-        p = self._check_dim(p)
-        for g in self.groups:
-            xb, pb = x[g], p[g]
+    def stationarity_residual(self, x, g) -> float:
+        x, g = self._check_pair(x, g)
+        worst = 0.0
+        for grp in self.groups:
+            xb, gb = x[grp], g[grp]
             nrm = np.linalg.norm(xb)
             if nrm > 0:
-                if np.max(np.abs(pb - self.tau * xb / nrm)) > tol:
-                    return False
-            elif np.linalg.norm(pb) > self.tau + tol:
-                return False
-        return True
+                r = float(np.max(np.abs(gb + self.tau * xb / nrm)))
+            else:
+                r = max(float(np.linalg.norm(gb)) - self.tau, 0.0)
+            worst = max(worst, r)
+        return worst
 
     def with_tau(self, tau):
         return GroupL2Regularizer(tau, self.groups)
@@ -380,9 +391,6 @@ class TVIsoRegularizer(Regularizer):
             state.p = p
         return z.ravel()
 
-    def subgradient_check(self, x, p, tol: float = 1e-10):
-        return None  # no closed-form certificate for tv-iso
-
     def with_tau(self, tau):
         return TVIsoRegularizer(
             tau, self.grid, self.inner_max_iters, self.inner_tol, self.inner_step
@@ -406,9 +414,3 @@ def regularizer_from_dict(spec: dict) -> Regularizer:
         return TVIsoRegularizer(tau, tuple(spec["grid"]))
     raise ValueError(f"unknown regularizer kind {kind!r}")
 
-
-def load_groups_json(path) -> list[np.ndarray]:
-    """Read a group partition (list of index arrays) from a JSON file."""
-    groups = json.loads(open(path).read())
-    reg = GroupL2Regularizer(0.0, groups)  # runs partition validation
-    return reg.groups

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .regularizers import Regularizer, UnsupportedRegularizer
+from .regularizers import Regularizer
 
 STATUS_CONVERGED = "converged"
 STATUS_STATIONARY = "stationary"
@@ -76,8 +77,13 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
+            optional_unset = f.type == "int | None" and value is None
+            if f.type.startswith("int") and not optional_unset:
+                if not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not self.eta > 1:
             raise ValueError("eta must be > 1")
         if not 0 < self.sigma < 1:
@@ -103,21 +109,7 @@ class SolverConfig:
         return 1 if tau >= 1e-2 else 3
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "sigma": self.sigma,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "memory_M": self.memory_M,
-            "cycle_m": self.cycle_m,
-            "ref_policy": self.ref_policy,
-            "adapt_L": self.adapt_L,
-            "adapt_Delta": self.adapt_Delta,
-            "eps": self.eps,
-            "max_iters": self.max_iters,
-            "max_backtracks": self.max_backtracks,
-            "first_seed": self.first_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -129,7 +121,12 @@ class SolverConfig:
 
 @dataclass
 class TraceRecord:
-    """One solver iteration: objective, reference, stepsizes, costs."""
+    """One solver iteration: objective, reference, stepsizes, costs.
+
+    The fields, in order, are the trace CSV columns. Floats are written
+    with 17 significant digits unless a field's ``csv_format`` metadata
+    names another format.
+    """
 
     k: int
     obj: float
@@ -140,20 +137,7 @@ class TraceRecord:
     step_norm: float
     step_inf: float
     matvecs: int
-    wall_time: float
-
-    COLUMNS = (
-        "k",
-        "obj",
-        "phi_ref",
-        "alpha_seed",
-        "alpha_accepted",
-        "backtracks",
-        "step_norm",
-        "step_inf",
-        "matvecs",
-        "wall_time",
-    )
+    wall_time: float = field(metadata={"csv_format": ".6f"})
 
 
 @dataclass
@@ -166,14 +150,7 @@ class SolveSummary:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "iters": self.iters,
-            "matvecs": self.matvecs,
-            "final_obj": self.final_obj,
-            "final_residual": self.final_residual,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -194,45 +171,24 @@ class Trace:
         return np.array([r.matvecs for r in self.records])
 
     def write_csv(self, path):
+        columns = [
+            (f.name, f.metadata.get("csv_format", ".17g" if f.type == "float" else "d"))
+            for f in fields(TraceRecord)
+        ]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(TraceRecord.COLUMNS)
+            writer.writerow([name for name, _ in columns])
             for r in self.records:
-                writer.writerow(
-                    [
-                        r.k,
-                        f"{r.obj:.17g}",
-                        f"{r.phi_ref:.17g}",
-                        f"{r.alpha_seed:.17g}",
-                        f"{r.alpha_accepted:.17g}",
-                        r.backtracks,
-                        f"{r.step_norm:.17g}",
-                        f"{r.step_inf:.17g}",
-                        r.matvecs,
-                        f"{r.wall_time:.6f}",
-                    ]
-                )
+                writer.writerow([format(getattr(r, name), spec) for name, spec in columns])
 
     @classmethod
     def read_csv(cls, path) -> "Trace":
-        records = []
+        parsers = {f.name: int if f.type == "int" else float for f in fields(TraceRecord)}
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                records.append(
-                    TraceRecord(
-                        k=int(row["k"]),
-                        obj=float(row["obj"]),
-                        phi_ref=float(row["phi_ref"]),
-                        alpha_seed=float(row["alpha_seed"]),
-                        alpha_accepted=float(row["alpha_accepted"]),
-                        backtracks=int(row["backtracks"]),
-                        step_norm=float(row["step_norm"]),
-                        step_inf=float(row["step_inf"]),
-                        matvecs=int(row["matvecs"]),
-                        wall_time=float(row["wall_time"]),
-                    )
-                )
+            records = [
+                TraceRecord(**{name: parse(row[name]) for name, parse in parsers.items()})
+                for row in csv.DictReader(fh)
+            ]
         return cls(records=records)
 
 
@@ -452,44 +408,6 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         wall_time=time.perf_counter() - t0,
     )
     return SolveResult(x=x, trace=Trace(records, summary), status=status)
-
-
-def stationarity_residual(x, g, reg: Regularizer) -> float:
-    """Max-norm distance from -grad f(x) to the subdifferential of psi at x.
-
-    Zero exactly at stationary points. Supported for the closed-form
-    regularizers (zero, l1, group-l2).
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError("x and g must have the same length")
-    if reg.kind == "zero":
-        return float(np.max(np.abs(g))) if g.size else 0.0
-    if reg.kind == "l1":
-        tau = reg.tau
-        nonzero = x != 0
-        res = np.where(
-            nonzero,
-            np.abs(g + tau * np.sign(x)),
-            np.maximum(np.abs(g) - tau, 0.0),
-        )
-        return float(np.max(res)) if res.size else 0.0
-    if reg.kind == "group-l2":
-        tau = reg.tau
-        worst = 0.0
-        for grp in reg.groups:
-            xb, gb = x[grp], g[grp]
-            nrm = np.linalg.norm(xb)
-            if nrm > 0:
-                r = float(np.max(np.abs(gb + tau * xb / nrm)))
-            else:
-                r = max(float(np.linalg.norm(gb)) - tau, 0.0)
-            worst = max(worst, r)
-        return worst
-    raise UnsupportedRegularizer(
-        f"no closed-form stationarity test for kind {reg.kind!r}"
-    )
 
 
 def acceptance_violation(trace: Trace, sigma: float) -> float:

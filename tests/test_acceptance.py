@@ -20,7 +20,7 @@ from sparsa.harness import (
 from sparsa.problems import GeneratorSpec, gen_bpdn, gen_deblur, gen_group, gen_tv_phantom
 from sparsa.problems import test_pattern as make_test_pattern
 from sparsa.regularizers import GroupL2Regularizer, L1Regularizer, TVIsoRegularizer
-from sparsa.solver import SolverConfig, acceptance_violation, solve, stationarity_residual
+from sparsa.solver import SolverConfig, acceptance_violation, solve
 from conftest import golden_min, running_window_max, tv_objective, tv_prox_dual_oracle
 
 GLL = SolverConfig(ref_policy="gll-max", cycle_m=1)
@@ -203,12 +203,12 @@ def test_criterion_6_stationarity_at_tight_tolerance():
         prob = gen_bpdn(k=64, n=256, spikes=16, seed=seed)
         res = solve(prob, GLL.replaced(eps=1e-9))
         all_converged &= res.status == "converged"
-        worst = max(worst, stationarity_residual(res.x, prob.f_grad(res.x), prob.regularizer))
+        worst = max(worst, prob.regularizer.stationarity_residual(res.x, prob.f_grad(res.x)))
     for seed in range(5):
         prob = gen_group(seed=seed, k=64, n=256, num_groups=16, active_groups=4)
         res = solve(prob, ADAPTIVE.replaced(eps=1e-9))
         all_converged &= res.status == "converged"
-        worst = max(worst, stationarity_residual(res.x, prob.f_grad(res.x), prob.regularizer))
+        worst = max(worst, prob.regularizer.stationarity_residual(res.x, prob.f_grad(res.x)))
     ok = all_converged and worst <= 1e-6
     assert report(
         6, ok,

@@ -5,7 +5,8 @@ import pytest
 
 from sparsa import arrayio
 from sparsa.cli import main
-from sparsa.solver import SolverConfig
+from sparsa.harness import RateFit
+from sparsa.solver import SolverConfig, Trace
 
 
 def write_bpdn_spec(path, seed=0):
@@ -77,6 +78,25 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert isinstance(summary["stages"], list)
         assert {"tau", "iters", "matvecs"} <= set(summary["stages"][0])
+
+    def test_continuation_trace_feeds_rates_and_round_trips(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        write_bpdn_spec(spec_path)
+        pdir = tmp_path / "problem"
+        main(["generate", "--spec", str(spec_path), "--out", str(pdir)])
+        out = tmp_path / "run"
+        main(["solve", "--problem", str(pdir), "--out", str(out), "--continuation"])
+        trace_path = out / "trace.csv"
+        phi_star = json.loads((out / "summary.json").read_text())["final_obj"]
+        fit_out = tmp_path / "fit.json"
+        assert main([
+            "rates", "--trace", str(trace_path),
+            "--phi-star", f"{phi_star - 1e-9}", "--out", str(fit_out),
+        ]) == 0
+        assert set(json.loads(fit_out.read_text())) == set(RateFit().to_dict())
+        copy = tmp_path / "copy.csv"
+        Trace.read_csv(trace_path).write_csv(copy)
+        assert copy.read_bytes() == trace_path.read_bytes()
 
 
 class TestBenchRatesCurve:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from sparsa.regularizers import (
     L1Regularizer,
     TVIsoRegularizer,
     ZeroRegularizer,
-    load_groups_json,
     regularizer_from_dict,
     tv_divergence,
     tv_gradient,
@@ -289,24 +286,6 @@ class TestTvOperators:
         assert tv_value_2d(z) == pytest.approx(tv_objective(z, z, 1.0), abs=1e-12)
 
 
-class TestSubgradientCheck:
-    def test_l1_valid_certificate(self):
-        assert L1Regularizer(1.0).subgradient_check([2.0, 0.0], [1.0, 0.5]) is True
-
-    def test_l1_wrong_sign_component(self):
-        assert L1Regularizer(1.0).subgradient_check([2.0, 0.0], [0.9, 0.0]) is False
-
-    def test_group_interior_of_ball_at_zero(self):
-        reg = GroupL2Regularizer(1.0, [[0, 1]])
-        p = np.array([0.99, 0.0])
-        assert reg.subgradient_check([0.0, 0.0], p) is True
-        assert reg.subgradient_check([0.0, 0.0], [1.2, 0.0]) is False
-
-    def test_tv_reports_unsupported(self):
-        reg = TVIsoRegularizer(1.0, (2, 2))
-        assert reg.subgradient_check(np.zeros(4), np.zeros(4)) is None
-
-
 class TestConstructionAndSerialization:
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValueError):
@@ -330,12 +309,3 @@ class TestConstructionAndSerialization:
             back = regularizer_from_dict(reg.to_dict())
             assert back.kind == reg.kind
             assert back.tau == reg.tau
-
-    def test_groups_from_json(self, tmp_path):
-        path = tmp_path / "groups.json"
-        path.write_text(json.dumps([[0, 1], [2, 3, 4]]))
-        groups = load_groups_json(path)
-        assert [g.tolist() for g in groups] == [[0, 1], [2, 3, 4]]
-        path.write_text(json.dumps([[0, 1], [1, 2]]))
-        with pytest.raises(ValueError):
-            load_groups_json(path)

@@ -18,7 +18,6 @@ from sparsa.solver import (
     gll_reference,
     line_search_step,
     solve,
-    stationarity_residual,
 )
 from conftest import running_window_max
 
@@ -341,29 +340,48 @@ class TestSolve:
 class TestStationarityResidual:
     def test_zero_at_optimal_support_point(self):
         reg = L1Regularizer(1.0)
-        assert stationarity_residual([1.0], [-1.0], reg) == 0.0
+        assert reg.stationarity_residual([1.0], [-1.0]) == 0.0
 
     def test_zero_inside_subdifferential_at_origin(self):
         reg = L1Regularizer(1.0)
-        assert stationarity_residual([0.0], [0.5], reg) == 0.0
+        assert reg.stationarity_residual([0.0], [0.5]) == 0.0
 
     def test_excess_beyond_threshold(self):
         reg = L1Regularizer(1.0)
-        assert stationarity_residual([0.0], [1.5], reg) == pytest.approx(0.5)
+        assert reg.stationarity_residual([0.0], [1.5]) == pytest.approx(0.5)
 
     def test_group_blocks(self):
         reg = GroupL2Regularizer(1.0, [[0, 1]])
         x = np.array([3.0, 4.0])
         g = -x / 5.0  # exactly -tau x/||x||
-        assert stationarity_residual(x, g, reg) == pytest.approx(0.0, abs=1e-15)
-        assert stationarity_residual([0.0, 0.0], [2.0, 0.0], reg) == pytest.approx(1.0)
+        assert reg.stationarity_residual(x, g) == pytest.approx(0.0, abs=1e-15)
+        assert reg.stationarity_residual([0.0, 0.0], [2.0, 0.0]) == pytest.approx(1.0)
 
     def test_zero_regularizer_uses_gradient_norm(self):
-        assert stationarity_residual([1.0], [0.25], ZeroRegularizer()) == 0.25
+        assert ZeroRegularizer().stationarity_residual([1.0], [0.25]) == 0.25
 
     def test_tv_unsupported(self):
         with pytest.raises(ValueError):
-            stationarity_residual(np.zeros(4), np.zeros(4), TVIsoRegularizer(1.0, (2, 2)))
+            TVIsoRegularizer(1.0, (2, 2)).stationarity_residual(np.zeros(4), np.zeros(4))
+
+    # a subgradient p of psi at x makes g = -p stationary
+    @pytest.mark.parametrize(
+        "reg, x, p, expected",
+        [
+            (L1Regularizer(1.0), [2.0, 0.0], [1.0, 0.5], 0.0),
+            (L1Regularizer(1.0), [2.0, 0.0], [0.9, 0.0], 0.1),
+            (GroupL2Regularizer(1.0, [[0, 1]]), [0.0, 0.0], [0.99, 0.0], 0.0),
+            (GroupL2Regularizer(1.0, [[0, 1]]), [0.0, 0.0], [1.2, 0.0], 0.2),
+        ],
+        ids=["l1-certificate", "l1-wrong-sign", "group-inside-ball", "group-outside-ball"],
+    )
+    def test_subgradient_as_negative_gradient(self, reg, x, p, expected):
+        assert reg.stationarity_residual(x, -np.array(p)) == pytest.approx(expected, abs=1e-15)
+
+    def test_shape_mismatch(self):
+        for reg in (ZeroRegularizer(), L1Regularizer(1.0)):
+            with pytest.raises(ValueError, match="same length"):
+                reg.stationarity_residual(np.zeros(3), np.zeros(2))
 
 
 class TestTraceSerialization:
@@ -407,6 +425,14 @@ class TestConfigValidation:
     )
     def test_rejects_non_finite_float_field(self, name):
         for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "name", ["memory_M", "cycle_m", "adapt_L", "max_iters", "max_backtracks"]
+    )
+    def test_rejects_non_integral_int_field(self, name):
+        for bad in (math.nan, math.inf, 2.5):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
 
