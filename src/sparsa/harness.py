@@ -178,9 +178,10 @@ def default_variants() -> list[Variant]:
 class ExperimentSpec:
     """A benchmark: one generator, several variants, a tolerance sweep.
 
-    Repetition r regenerates the problem with seed ``generator.seed + r``;
-    every variant sees the identical instance per repetition (paired
-    comparison).
+    Repetition r generates the problem once, with seed
+    ``generator.seed + r``, and every (tolerance, variant) cell solves that
+    same instance (paired comparison). Sharing it is safe: each solve
+    counts its own matvecs and owns its prox state.
     """
 
     generator: GeneratorSpec
@@ -233,9 +234,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, write_traces: bool = True
     cells = []
     for rep in range(spec.repetitions):
         seed = spec.generator.seed + rep
+        problem = spec.generator.with_seed(seed).make()
         for eps in spec.tolerances:
             for variant in spec.variants:
-                problem = spec.generator.with_seed(seed).make()
                 cell = {
                     "variant": variant.name,
                     "eps": eps,

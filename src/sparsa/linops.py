@@ -145,35 +145,25 @@ class PartialFourier2D(LinearOperator):
 
 
 class Blur2D(LinearOperator):
-    """Circular 2-D convolution with a blur kernel, via FFT.
+    """Circular 2-D convolution with a uniform box kernel, via FFT.
 
-    Defaults to a uniform ``mask_size x mask_size`` box kernel of total
-    weight 1, centered at offsets ``arange(mask_size) - mask_size // 2``
-    in each direction. A custom 2-D ``kernel`` may be supplied instead;
-    it is placed with the same centering convention. The adjoint uses the
-    conjugate transfer function, so adjoint consistency is exact even for
-    kernels that are not symmetric under the circular shift.
+    The kernel is ``mask_size x mask_size`` with total weight 1, centered
+    at offsets ``arange(mask_size) - mask_size // 2`` in each direction.
+    The adjoint uses the conjugate transfer function, so adjoint
+    consistency is exact even though an even-sized box is not symmetric
+    under the circular shift.
     """
 
     kind = "blur-2d"
 
-    def __init__(self, rows: int, cols: int, mask_size: int = 8, kernel=None):
-        if kernel is None:
-            if mask_size < 1 or mask_size > min(rows, cols):
-                raise ValueError("mask_size must be in [1, min(rows, cols)]")
-            kernel = np.full((mask_size, mask_size), 1.0 / mask_size**2)
-        kernel = np.asarray(kernel, dtype=float)
-        kh, kw = kernel.shape
-        if kh > rows or kw > cols:
-            raise ValueError("kernel larger than image")
+    def __init__(self, rows: int, cols: int, mask_size: int = 8):
+        if mask_size < 1 or mask_size > min(rows, cols):
+            raise ValueError("mask_size must be in [1, min(rows, cols)]")
+        offs = np.arange(mask_size) - mask_size // 2
         padded = np.zeros((rows, cols))
-        roff, coff = kh // 2, kw // 2
-        for i in range(kh):
-            for j in range(kw):
-                padded[(i - roff) % rows, (j - coff) % cols] += kernel[i, j]
+        padded[np.ix_(offs % rows, offs % cols)] = 1.0 / mask_size**2
         self.rows = int(rows)
         self.cols = int(cols)
-        self.kernel = kernel
         self._transfer = np.fft.fft2(padded)
         super().__init__(rows * cols, rows * cols)
 

@@ -15,8 +15,8 @@ depends on this convention.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,7 @@ class Regularizer:
     kind = "abstract"
 
     def __init__(self, tau: float):
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        self.tau = float(tau)
+        self.tau = _check_tau(tau)
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -69,8 +67,15 @@ class Regularizer:
         )
 
     def with_tau(self, tau: float) -> "Regularizer":
-        """Copy of this regularizer with a different weight."""
-        raise NotImplementedError
+        """Copy of this regularizer with a different weight.
+
+        Every other setting (group partition, TV grid and inner-solver
+        settings) is shared with ``self``; instances are never mutated, so
+        sharing is safe.
+        """
+        twin = copy.copy(self)
+        twin.tau = _check_tau(tau)
+        return twin
 
     def _check_dim(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -84,6 +89,13 @@ class Regularizer:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "tau": self.tau}
+
+
+def _check_tau(tau) -> float:
+    tau = float(tau)
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
+    return tau
 
 
 class ZeroRegularizer(Regularizer):
@@ -101,9 +113,6 @@ class ZeroRegularizer(Regularizer):
     def stationarity_residual(self, x, g) -> float:
         _, g = self._check_pair(x, g)
         return float(np.max(np.abs(g))) if g.size else 0.0
-
-    def with_tau(self, tau):
-        return ZeroRegularizer(tau)
 
 
 class L1Regularizer(Regularizer):
@@ -127,9 +136,6 @@ class L1Regularizer(Regularizer):
             np.maximum(np.abs(g) - self.tau, 0.0),
         )
         return float(np.max(res)) if res.size else 0.0
-
-    def with_tau(self, tau):
-        return L1Regularizer(tau)
 
 
 class GroupL2Regularizer(Regularizer):
@@ -187,9 +193,6 @@ class GroupL2Regularizer(Regularizer):
             worst = max(worst, r)
         return worst
 
-    def with_tau(self, tau):
-        return GroupL2Regularizer(tau, self.groups)
-
     def to_dict(self):
         return {
             "kind": self.kind,
@@ -201,15 +204,18 @@ class GroupL2Regularizer(Regularizer):
 # -- isotropic total variation -----------------------------------------------
 
 
-def tv_gradient(z: np.ndarray):
-    """Forward-difference image gradient; zero at the far row/column."""
-    gx = np.zeros_like(z)
-    gy = np.zeros_like(z)
-    if z.shape[1] > 1:
-        gx[:, :-1] = z[:, 1:] - z[:, :-1]
-    if z.shape[0] > 1:
-        gy[:-1, :] = z[1:, :] - z[:-1, :]
-    return gx, gy
+def tv_gradient(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward-difference image gradient ``(gx, gy)``; zero at the far column/row.
+
+    The two planes are stacked in one ``(2, rows, cols)`` array; with
+    ``out`` they are written into that array instead of a fresh one.
+    """
+    g = np.empty((2,) + z.shape, dtype=z.dtype) if out is None else out
+    np.subtract(z[:, 1:], z[:, :-1], out=g[0, :, :-1])
+    g[0, :, -1] = 0.0
+    np.subtract(z[1:, :], z[:-1, :], out=g[1, :-1, :])
+    g[1, -1, :] = 0.0
+    return g
 
 
 def tv_divergence(px: np.ndarray, py: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -290,11 +296,8 @@ def tv_prox(
     for _ in range(max_iters):
         if dual_history is not None:
             dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
-        # q = p + scale * grad z, forward differences with a zero far edge
-        np.subtract(z[:, 1:], z[:, :-1], out=q[0, :, :-1])
-        q[0, :, -1] = 0.0
-        np.subtract(z[1:, :], z[:-1, :], out=q[1, :-1, :])
-        q[1, -1, :] = 0.0
+        # q = p + scale * grad z
+        tv_gradient(z, out=q)
         q *= scale
         q += p
         np.multiply(q, q, out=diff)
@@ -336,8 +339,9 @@ class TVIsoRegularizer(Regularizer):
 
     psi(x) = tau * sum_i sqrt((dx_i)^2 + (dy_i)^2) with forward
     differences and replicated far edges. The prox has no closed form and
-    is solved iteratively (see :func:`tv_prox`); inner iteration count,
-    exit tolerance and dual step are configurable.
+    is solved iteratively (see :func:`tv_prox`); the inner iteration cap
+    and exit tolerance are configurable, the dual step is ``tv_prox``'s
+    default.
     """
 
     kind = "tv-iso"
@@ -348,7 +352,6 @@ class TVIsoRegularizer(Regularizer):
         grid: tuple[int, int],
         inner_max_iters: int = 40,
         inner_tol: float = 1e-5,
-        inner_step: float = 0.248,
     ):
         super().__init__(tau)
         rows, cols = grid
@@ -357,7 +360,6 @@ class TVIsoRegularizer(Regularizer):
         self.grid = (int(rows), int(cols))
         self.inner_max_iters = int(inner_max_iters)
         self.inner_tol = float(inner_tol)
-        self.inner_step = float(inner_step)
 
     def _check_dim(self, x):
         x = np.asarray(x, dtype=float)
@@ -385,16 +387,10 @@ class TVIsoRegularizer(Regularizer):
             p0=p0,
             max_iters=self.inner_max_iters,
             tol=self.inner_tol,
-            step=self.inner_step,
         )
         if state is not None:
             state.p = p
         return z.ravel()
-
-    def with_tau(self, tau):
-        return TVIsoRegularizer(
-            tau, self.grid, self.inner_max_iters, self.inner_tol, self.inner_step
-        )
 
     def to_dict(self):
         return {"kind": self.kind, "tau": self.tau, "grid": list(self.grid)}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsa import continuation
 from sparsa.continuation import ContinuationSchedule, solve_with_continuation
 from sparsa.problems import OracleProblem, gen_bpdn
 from sparsa.regularizers import L1Regularizer, soft_threshold
@@ -22,20 +23,23 @@ class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             ContinuationSchedule(tau_target=0.0)
-        with pytest.raises(ValueError):
-            ContinuationSchedule(tau_target=1.0, decrease_factor=1.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=str)
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(ValueError, match="tau_target"):
+            ContinuationSchedule(tau_target=bad)
 
 
 class TestSolveWithContinuation:
     def test_single_stage_matches_plain_solve(self):
-        prob = gen_bpdn(k=32, n=128, spikes=10, seed=0)
-        tau = prob.regularizer.tau
-        # an init fraction so small the schedule collapses to the target
-        sched = ContinuationSchedule(tau_target=tau, tau_init_fraction=1e-12)
-        res = solve_with_continuation(prob, sched, SolverConfig(eps=1e-7))
+        base = gen_bpdn(k=32, n=128, spikes=10, seed=0)
+        # the first stage's weight itself, so the schedule collapses to the target
+        tau = 0.9 * np.max(np.abs(base.op.matrix.T @ base.b))
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=0, tau=tau)
+        res = solve_with_continuation(prob, ContinuationSchedule(tau_target=tau), SolverConfig(eps=1e-7))
         assert len(res.stages) == 1
 
-        plain = gen_bpdn(k=32, n=128, spikes=10, seed=0)
+        plain = gen_bpdn(k=32, n=128, spikes=10, seed=0, tau=tau)
         plain_res = solve(plain, SolverConfig(eps=1e-7))
         assert np.array_equal(res.x, plain_res.x)
         assert len(res.trace.records) == len(plain_res.trace.records)
@@ -78,6 +82,33 @@ class TestSolveWithContinuation:
         assert ks == list(range(1, len(ks) + 1))
         # stage increments plus the initial weight-sizing gradient cover the total
         assert sum(s["matvecs"] for s in res.stages) + 2 == prob.matvec_total
+
+    def test_stage_costs_are_the_stage_summaries(self, monkeypatch):
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-4)
+        summaries = []
+
+        def recording_solve(problem, cfg):
+            result = solve(problem, cfg)
+            summaries.append(result.trace.summary)
+            return result
+
+        monkeypatch.setattr(continuation, "solve", recording_solve)
+        res = solve_with_continuation(
+            prob, ContinuationSchedule(tau_target=1e-4), SolverConfig(eps=1e-6)
+        )
+        assert len(res.stages) == len(summaries) > 1
+        for stage, own in zip(res.stages, summaries):
+            assert (stage["iters"], stage["matvecs"]) == (own.iters, own.matvecs)
+        sizing = 2  # one gradient at zero: a forward and an adjoint
+        merged = res.trace.summary
+        assert merged.matvecs == sizing + sum(s.matvecs for s in summaries) == prob.matvec_total
+        assert merged.iters == sum(s.iters for s in summaries)
+        assert merged.wall_time == sum(s.wall_time for s in summaries)
+        last = summaries[-1]
+        assert (merged.status, merged.final_obj, merged.final_residual) == (
+            last.status, last.final_obj, last.final_residual
+        )
+        assert merged is not last
 
     def test_merged_columns_never_decrease(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-3)

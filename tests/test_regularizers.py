@@ -309,3 +309,32 @@ class TestConstructionAndSerialization:
             back = regularizer_from_dict(reg.to_dict())
             assert back.kind == reg.kind
             assert back.tau == reg.tau
+
+
+KINDS = {
+    "zero": lambda tau: ZeroRegularizer(tau),
+    "l1": lambda tau: L1Regularizer(tau),
+    "group-l2": lambda tau: GroupL2Regularizer(tau, [[0, 2], [1, 3]]),
+    "tv-iso": lambda tau: TVIsoRegularizer(tau, (2, 2), inner_max_iters=7, inner_tol=1e-3),
+}
+
+
+class TestWeight:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_non_finite_tau_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="tau"):
+            KINDS[kind](bad)
+        with pytest.raises(ValueError, match="tau"):
+            KINDS[kind](0.5).with_tau(bad)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_with_tau_copies_every_other_setting(self, kind):
+        reg = KINDS[kind](0.5)
+        twin = reg.with_tau(0.25)
+        assert twin is not reg and type(twin) is type(reg)
+        assert (reg.tau, twin.tau) == (0.5, 0.25)
+        if kind == "tv-iso":
+            assert (twin.grid, twin.inner_max_iters, twin.inner_tol) == ((2, 2), 7, 1e-3)
+        if kind == "group-l2":
+            assert [g.tolist() for g in twin.groups] == [[0, 2], [1, 3]]
