@@ -9,7 +9,10 @@ import numpy as np
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a P2 (ASCII) or P5 (binary) PGM image into floats in [0, 1]."""
+    """Read a P2 (ASCII) or P5 (binary) PGM image into floats in [0, 1].
+
+    A sample outside ``[0, maxval]`` raises ``ValueError``.
+    """
     data = Path(path).read_bytes()
     tokens, pos = [], 0
     # header: magic, width, height, maxval; '#' starts a comment line
@@ -34,9 +37,14 @@ def read_pgm(path) -> np.ndarray:
         pos += 1  # single whitespace byte after maxval
         raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     else:
-        raster = np.array(data[pos:].split()[: width * height], dtype=np.uint8)
+        try:
+            raster = np.array(data[pos:].split()[: width * height], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"PGM samples must lie in [0, {maxval}]") from None
     if raster.size != width * height:
         raise ValueError("PGM raster truncated")
+    if np.any(raster > maxval) or np.any(raster < 0):
+        raise ValueError(f"PGM samples must lie in [0, {maxval}]")
     return raster.reshape(height, width).astype(float) / maxval
 
 

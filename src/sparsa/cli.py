@@ -57,8 +57,7 @@ def cmd_solve(args):
         return 0
     spec = GeneratorSpec.from_dict(_load_json(Path(args.problem) / "spec.json"))
     problem = spec.make()
-    overrides = _load_json(args.config) if args.config else {}
-    cfg = SolverConfig.from_dict({**SolverConfig().to_dict(), **overrides})
+    cfg = SolverConfig.from_dict(_load_json(args.config) if args.config else {})
     if args.eps is not None:
         cfg = cfg.replaced(eps=args.eps)
     variant = Variant("cli", cfg, continuation=args.continuation)

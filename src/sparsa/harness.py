@@ -90,7 +90,6 @@ class RateFit:
     c_hat: float = float("nan")
     residual_r2: float = float("nan")
     burn_in: int = 0
-    mu_hat: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -189,6 +188,12 @@ class ExperimentSpec:
     tolerances: list[float] = field(default_factory=lambda: [1e-5])
     repetitions: int = 1
     output_dir: str | None = None
+
+    def __post_init__(self):
+        if not self.variants or not self.tolerances:
+            raise ValueError("an experiment needs at least one variant and one tolerance")
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
 
     def to_dict(self) -> dict:
         return asdict(self)

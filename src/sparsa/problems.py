@@ -13,7 +13,6 @@ seeded 64-bit PCG generator (0: operator/matrix, 1: signal/support,
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -393,10 +392,3 @@ class GeneratorSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
         return cls(family=d["family"], params=dict(d.get("params", {})), seed=int(d.get("seed", 0)))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorSpec":
-        return cls.from_dict(json.loads(text))

@@ -26,7 +26,7 @@ import numbers
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,32 +48,34 @@ class NonFiniteObjective(FloatingPointError):
     """A trial objective evaluated to NaN or infinity."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """All algorithm parameters.
+    """The solver's settings: four fields a caller sets, the rest fixed.
 
-    ``cycle_m = None`` derives the stepsize-reuse cycle length from the
-    regularization weight: 1 when tau >= 1e-2, else 3. ``adapt_Delta`` is
-    the relative stall threshold of the adaptive reference policy: a
-    reset to the recent-max reference is forced when the objective
-    decrease over the last ``adapt_L`` iterations falls below
-    ``adapt_Delta * max(1, |phi|)``, and unconditionally every
-    ``adapt_L``-th iteration.
+    ``cycle_m`` is how many iterations reuse one spectral seed (``None``:
+    1 when tau >= 1e-2, else 3); ``ref_policy`` picks the line search's
+    reference value, "gll-max" or "adaptive"; ``eps`` and ``max_iters`` are
+    the stopping tolerance and the iteration cap. The line-search constants
+    are class attributes, not fields: the constructor rejects them and
+    ``to_dict`` leaves them out.
     """
 
-    eta: float = 5.0
-    sigma: float = 1e-4
-    alpha_min: float = 1e-30
-    alpha_max: float = 1e30
-    memory_M: int = 10
+    eta: ClassVar[float] = 5.0  # alpha grows by this factor per backtrack
+    sigma: ClassVar[float] = 1e-4  # sufficient-decrease weight of the acceptance test
+    alpha_min: ClassVar[float] = 1e-30  # spectral seeds are clamped to [alpha_min, alpha_max]
+    alpha_max: ClassVar[float] = 1e30
+    memory_M: ClassVar[int] = 10  # "gll-max" reference: max of the last M objectives
+    # "adaptive" drops to that max every L-th iteration, and when the decrease
+    # over the last L iterations is below Delta * max(1, |phi|)
+    adapt_L: ClassVar[int] = 2
+    adapt_Delta: ClassVar[float] = 1e-6
+    max_backtracks: ClassVar[int] = 100  # trials beyond the first before giving up
+    first_seed: ClassVar[float] = 1.0  # seed of iteration 1, before any (s, y) pair
+
     cycle_m: int | None = None
     ref_policy: str = REF_GLL
-    adapt_L: int = 2
-    adapt_Delta: float = 1e-6
     eps: float = 1e-5
     max_iters: int = 100_000
-    max_backtracks: int = 100
-    first_seed: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -84,24 +86,14 @@ class SolverConfig:
             if f.type.startswith("int") and not optional_unset:
                 if not isinstance(value, numbers.Integral):
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if not self.eta > 1:
-            raise ValueError("eta must be > 1")
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must be in (0, 1)")
-        if not 0 < self.alpha_min <= self.alpha_max:
-            raise ValueError("need 0 < alpha_min <= alpha_max")
-        if self.memory_M < 1 or self.adapt_L < 1:
-            raise ValueError("memory_M and adapt_L must be positive")
         if self.cycle_m is not None and self.cycle_m < 1:
             raise ValueError("cycle_m must be positive")
         if self.ref_policy not in (REF_GLL, REF_ADAPTIVE):
             raise ValueError(f"unknown ref_policy {self.ref_policy!r}")
-        if self.adapt_Delta < 0:
-            raise ValueError("adapt_Delta must be nonnegative")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.max_iters < 1 or self.max_backtracks < 0:
-            raise ValueError("max_iters must be >= 1, max_backtracks >= 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
     def effective_cycle_m(self, tau: float) -> int:
         if self.cycle_m is not None:

@@ -31,6 +31,23 @@ class TestPgm:
         arrayio.write_pgm(path, np.array([[-0.5, 1.5]]))
         assert np.allclose(arrayio.read_pgm(path), [[0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "header, raster",
+        [
+            (b"P2\n2 1\n15\n", b"0 200\n"),
+            (b"P5\n2 1\n15\n", bytes([0, 200])),
+            (b"P2\n2 1\n255\n", b"0 -1\n"),
+            (b"P2\n2 1\n255\n", b"0 256\n"),
+            (b"P2\n2 1\n255\n", b"0 99999999999999999999\n"),
+        ],
+        ids=["p2-above-maxval", "p5-above-maxval", "p2-negative", "p2-above-255", "p2-huge"],
+    )
+    def test_sample_outside_maxval_rejected(self, tmp_path, header, raster):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + raster)
+        with pytest.raises(ValueError, match="samples"):
+            arrayio.read_pgm(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))

@@ -68,6 +68,18 @@ class TestSolve:
         main(["solve", "--problem", str(pdir), "--config", str(cfg_path), "--out", str(out)])
         assert json.loads((out / "summary.json").read_text())["final_residual"] <= 1e-4
 
+    def test_removed_config_key_rejected(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        write_bpdn_spec(spec_path)
+        pdir = tmp_path / "problem"
+        main(["generate", "--spec", str(spec_path), "--out", str(pdir)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"eta": 3.0}))
+        out = tmp_path / "run"
+        with pytest.raises(TypeError, match="eta"):
+            main(["solve", "--problem", str(pdir), "--config", str(cfg_path), "--out", str(out)])
+        assert not out.exists()
+
     def test_continuation_flag_adds_stage_summaries(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_bpdn_spec(spec_path)
@@ -137,6 +149,18 @@ class TestBenchRatesCurve:
             "--phi-star", f"{phi_star - 1e-9}", "--out", str(curve_out),
         ]) == 0
         assert curve_out.read_text().startswith("matvecs,error")
+
+    def test_bench_rejects_removed_config_key(self, tmp_path):
+        exp = {
+            "generator": {"family": "bpdn", "params": {"k": 16, "n": 64, "spikes": 4}, "seed": 0},
+            "variants": [{"name": "gll", "config": {"cycle_m": 1, "eta": 3.0}}],
+        }
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps(exp))
+        out = tmp_path / "bench"
+        with pytest.raises(TypeError, match="eta"):
+            main(["bench", "--spec", str(spec_path), "--out", str(out)])
+        assert not out.exists()
 
     def test_bench_print_config(self, capsys):
         assert main(["bench", "--print-config"]) == 0

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sparsa import solver
 from sparsa.harness import (
     ExperimentSpec,
     Variant,
@@ -15,7 +17,7 @@ from sparsa.harness import (
     write_curve_csv,
 )
 from sparsa.problems import GeneratorSpec, gen_bpdn
-from sparsa.solver import SolverConfig, solve
+from sparsa.solver import BacktrackLimitExceeded, SolverConfig, solve
 
 
 class TestFitSublinear:
@@ -169,18 +171,41 @@ class TestRunExperiment:
         assert all(len(seeds) == 1 for seeds in by_rep.values())
         assert manifest["seeds"] == [0, 1, 2]
 
-    def test_failed_cell_recorded_and_others_proceed(self):
+    def test_failed_cell_recorded_and_others_proceed(self, monkeypatch):
         spec = small_spec(reps=1)
-        # a backtrack budget of zero forces a line-search failure
         spec.variants = [
-            Variant("broken", SolverConfig(max_backtracks=0, first_seed=1e-30)),
+            Variant("broken", SolverConfig(ref_policy="adaptive")),
             Variant("gll", SolverConfig(ref_policy="gll-max", cycle_m=1)),
         ]
+        line_search_step = solver.line_search_step
+
+        # the line search finds no step for the adaptive variant only
+        def fail_adaptive(x, g, phi_ref, alpha_seed, f_value, reg, cfg, prox_state=None):
+            if cfg.ref_policy == "adaptive":
+                raise BacktrackLimitExceeded("no acceptable step")
+            return line_search_step(x, g, phi_ref, alpha_seed, f_value, reg, cfg, prox_state)
+
+        monkeypatch.setattr(solver, "line_search_step", fail_adaptive)
         rows, manifest = run_experiment(spec, out_dir=None, write_traces=False)
         errors = [c for c in manifest["cells"] if "error" in c]
         assert len(errors) == 1
         assert "BacktrackLimitExceeded" in errors[0]["error"]
         assert [r["variant"] for r in rows] == ["gll"]
+
+    @pytest.mark.parametrize(
+        "empty", [{"repetitions": 0}, {"repetitions": -1}, {"tolerances": []}],
+        ids=["no-repetitions", "negative-repetitions", "no-tolerances"],
+    )
+    def test_empty_spec_rejected(self, empty):
+        spec = small_spec()
+        with pytest.raises(ValueError):
+            replace(spec, **empty)
+        with pytest.raises(ValueError):
+            ExperimentSpec.from_dict({**spec.to_dict(), **empty})
+
+    def test_spec_without_variants_rejected(self):
+        with pytest.raises(ValueError):
+            replace(small_spec(), variants=[])
 
     def test_spec_round_trip(self):
         spec = small_spec(reps=2, tolerances=(1e-2, 1e-4))

@@ -1,0 +1,52 @@
+"""The benchmark's per-solve check runs against the package as it is.
+
+``perfbench/run.py`` reads the config's ``sigma``, the result's ``status``
+and, under continuation, its ``stages``. These tests call its
+``run_solve`` on a small spike-recovery cell, plain and with continuation,
+so a refactor that breaks one of those names fails here rather than in a
+benchmark run.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sparsa import continuation, problems, solver
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TAU = 1e-4
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import workloads
+
+    return run, workloads
+
+
+def small_bpdn():
+    return problems.gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=TAU)
+
+
+@pytest.mark.parametrize("use_continuation", [False, True], ids=["plain", "continuation"])
+def test_run_solve_passes_its_checks(perfbench, use_continuation):
+    run, workloads = perfbench
+    reference = solver.solve(small_bpdn(), solver.SolverConfig(eps=1e-10)).trace.summary.final_obj
+    cell = workloads.Cell("gll", TAU, workloads.GLL, continuation=use_continuation)
+    problem = small_bpdn()
+    out = run.run_solve(0, cell, problem, reference, gap_tol=1e-3)
+    assert out.errors == []
+    assert out.matvecs > 0 and out.iters > 0
+    assert abs(out.gap) <= 1e-3
+
+
+def test_stage_traces_split_a_continuation_run(perfbench):
+    run, workloads = perfbench
+    schedule = continuation.ContinuationSchedule(tau_target=TAU)
+    result = continuation.solve_with_continuation(small_bpdn(), schedule, workloads.GLL)
+    traces = run.stage_traces(result)
+    assert len(traces) == len(result.stages) > 1
+    assert sum(len(t.records) for t in traces) == len(result.trace.records)
+    assert traces[-1].summary is result.trace.summary

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -217,7 +219,7 @@ class TestTvPhantom:
 class TestGeneratorSpec:
     def test_round_trip_json(self):
         spec = GeneratorSpec("bpdn", {"k": 32, "n": 64, "spikes": 8}, seed=5)
-        back = GeneratorSpec.from_json(spec.to_json())
+        back = GeneratorSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert back == spec
 
     def test_make_dispatch_matches_direct_call(self):
