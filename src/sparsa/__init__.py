@@ -51,7 +51,6 @@ from .regularizers import (
     TVIsoRegularizer,
     UnsupportedRegularizer,
     ZeroRegularizer,
-    regularizer_from_dict,
     soft_threshold,
     tv_prox,
     tv_value_2d,

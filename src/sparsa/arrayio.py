@@ -1,4 +1,4 @@
-"""File formats: PGM images, CSV matrices, raw float64 arrays with sidecars."""
+"""File formats: PGM images and raw float64 arrays with JSON sidecars."""
 
 from __future__ import annotations
 
@@ -61,21 +61,6 @@ def write_pgm(path, image: np.ndarray, binary: bool = True):
     else:
         lines = [" ".join(str(v) for v in row) for row in raster]
         Path(path).write_text(f"P2\n{cols} {rows}\n255\n" + "\n".join(lines) + "\n")
-
-
-def write_csv(path, array: np.ndarray):
-    """Write a matrix (row per line) or vector (one value per line) as CSV."""
-    array = np.asarray(array, dtype=float)
-    if array.ndim == 1:
-        array = array.reshape(-1, 1)
-    np.savetxt(path, array, delimiter=",", fmt="%.17g")
-
-
-def read_csv(path) -> np.ndarray:
-    out = np.loadtxt(path, delimiter=",", ndmin=2)
-    if out.shape[1] == 1:
-        return out.ravel()
-    return out
 
 
 def write_raw(path, array: np.ndarray):

@@ -1,13 +1,18 @@
-"""Command-line front end: generate problems, solve, benchmark, fit rates."""
+"""Command-line front end: solve a generated problem, benchmark, fit rates.
+
+``solve`` and ``bench`` rebuild each problem from its generator spec, so
+no command writes a problem's arrays; every file written is a result or
+a trace that ``rates`` and ``curve`` read. An input file that cannot be
+read, parsed or built is a one-line usage error (exit status 2).
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import arrayio
 from .harness import (
@@ -19,7 +24,6 @@ from .harness import (
     Variant,
     write_curve_csv,
 )
-from .linops import DenseOperator
 from .problems import GeneratorSpec
 from .solver import SolverConfig, Trace
 
@@ -32,34 +36,30 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_generate(args):
-    spec = GeneratorSpec.from_dict(_load_json(args.spec))
-    problem = spec.make()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "spec.json", spec.to_dict())
-    _write_json(out / "regularizer.json", problem.regularizer.to_dict())
-    writer = arrayio.write_csv if args.format == "csv" else arrayio.write_raw
-    ext = "csv" if args.format == "csv" else "raw"
-    writer(out / f"b.{ext}", problem.b)
-    writer(out / f"x1.{ext}", problem.x1)
-    if problem.x_true is not None:
-        writer(out / f"x_true.{ext}", problem.x_true)
-    if isinstance(problem.op, DenseOperator):
-        writer(out / f"A.{ext}", problem.op.matrix)
-    print(f"wrote problem ({spec.family}, seed {spec.seed}) to {out}")
-    return 0
+class BadInput(Exception):
+    """An input named on the command line cannot be read or built."""
+
+
+@contextmanager
+def _input(option):
+    """Report a failure to read, parse or build ``option``'s input as ``BadInput``."""
+    try:
+        yield
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise BadInput(f"{option}: {type(exc).__name__}: {exc}") from None
 
 
 def cmd_solve(args):
     if args.print_config:
         print(json.dumps(SolverConfig().to_dict(), indent=2))
         return 0
-    spec = GeneratorSpec.from_dict(_load_json(Path(args.problem) / "spec.json"))
-    problem = spec.make()
-    cfg = SolverConfig.from_dict(_load_json(args.config) if args.config else {})
+    with _input("--config"):
+        cfg = SolverConfig.from_dict(_load_json(args.config) if args.config else {})
     if args.eps is not None:
-        cfg = cfg.replaced(eps=args.eps)
+        with _input("--eps"):
+            cfg = cfg.replaced(eps=args.eps)
+    with _input("--spec"):
+        problem = GeneratorSpec.from_dict(_load_json(args.spec)).make()
     variant = Variant("cli", cfg, continuation=args.continuation)
     x, trace, status, stages = run_one(problem, variant, cfg.eps)
     out = Path(args.out)
@@ -82,20 +82,21 @@ def cmd_bench(args):
         spec = ExperimentSpec(generator=GeneratorSpec("bpdn"))
         print(json.dumps(spec.to_dict(), indent=2))
         return 0
-    spec = ExperimentSpec.from_dict(_load_json(args.spec))
-    out_dir = args.out or spec.output_dir
-    rows, _ = run_experiment(spec, out_dir=out_dir, write_traces=not args.no_traces)
+    with _input("--spec"):
+        spec = ExperimentSpec.from_dict(_load_json(args.spec))
+    rows, _ = run_experiment(spec, out_dir=args.out, write_traces=not args.no_traces)
     for row in rows:
         print(
             f"{row['variant']:>12}  eps={row['eps']:<8g} "
             f"Ax={row['mean_matvecs']:10.1f}  obj={row['mean_final_obj']:.6g}"
         )
-    print(f"table and manifest written to {out_dir}")
+    print(f"table and manifest written to {args.out}")
     return 0
 
 
 def cmd_rates(args):
-    trace = Trace.read_csv(args.trace)
+    with _input("--trace"):
+        trace = Trace.read_csv(args.trace)
     fit = fit_rates(trace, args.phi_star, burn_in=args.burn_in)
     _write_json(args.out, fit.to_dict())
     print(json.dumps(fit.to_dict(), indent=2))
@@ -103,7 +104,8 @@ def cmd_rates(args):
 
 
 def cmd_curve(args):
-    trace = Trace.read_csv(args.trace)
+    with _input("--trace"):
+        trace = Trace.read_csv(args.trace)
     curve = error_vs_matvec_curve(trace, args.phi_star)
     write_curve_csv(args.out, curve)
     print(f"{curve.shape[0]} points written to {args.out}")
@@ -118,14 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="materialize a generated problem to disk")
-    p.add_argument("--spec", required=True, help="generator spec JSON")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=("raw", "csv"), default="raw")
-    p.set_defaults(func=cmd_generate)
-
     p = sub.add_parser("solve", help="solve a generated problem")
-    p.add_argument("--problem", help="problem directory from `generate`")
+    p.add_argument("--spec", help="generator spec JSON (family, params, seed)")
     p.add_argument("--config", help="solver config JSON (partial overrides)")
     p.add_argument("--eps", type=float, help="override stopping tolerance")
     p.add_argument("--continuation", action="store_true")
@@ -159,13 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve" and not args.print_config:
-        if not args.problem or not args.out:
-            parser.error("solve requires --problem and --out (or --print-config)")
-    if args.command == "bench" and not args.print_config:
-        if not args.spec:
-            parser.error("bench requires --spec (or --print-config)")
-    return args.func(args)
+    if args.command in ("solve", "bench") and not args.print_config:
+        if not args.spec or not args.out:
+            parser.error(f"{args.command} requires --spec and --out (or --print-config)")
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

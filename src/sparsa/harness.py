@@ -154,11 +154,9 @@ class Variant:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Variant":
-        return cls(
-            name=d["name"],
-            config=SolverConfig.from_dict(d.get("config", {})),
-            continuation=bool(d.get("continuation", False)),
-        )
+        """Missing keys take their defaults; an unknown key is a ``TypeError``."""
+        config = SolverConfig.from_dict(d.get("config", {}))
+        return cls(**d | {"config": config, "continuation": bool(d.get("continuation", False))})
 
 
 def default_variants() -> list[Variant]:
@@ -187,7 +185,6 @@ class ExperimentSpec:
     variants: list[Variant] = field(default_factory=default_variants)
     tolerances: list[float] = field(default_factory=lambda: [1e-5])
     repetitions: int = 1
-    output_dir: str | None = None
 
     def __post_init__(self):
         if not self.variants or not self.tolerances:
@@ -200,14 +197,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        return cls(
-            generator=GeneratorSpec.from_dict(d["generator"]),
-            variants=[Variant.from_dict(v) for v in d.get("variants", [])]
+        """As ``Variant.from_dict``; an empty ``variants`` list means the defaults."""
+        converted = {
+            "generator": GeneratorSpec.from_dict(d["generator"]),
+            "variants": [Variant.from_dict(v) for v in d.get("variants", [])]
             or default_variants(),
-            tolerances=[float(t) for t in d.get("tolerances", [1e-5])],
-            repetitions=int(d.get("repetitions", 1)),
-            output_dir=d.get("output_dir"),
-        )
+            "tolerances": [float(t) for t in d.get("tolerances", [1e-5])],
+            "repetitions": int(d.get("repetitions", 1)),
+        }
+        return cls(**d | converted)
 
 
 def run_one(problem, variant: Variant, eps: float):
@@ -231,8 +229,6 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, write_traces: bool = True
     cell bit for bit (wall times are reported only in the table). A
     failed cell is recorded in the manifest and skipped in the means.
     """
-    if out_dir is None:
-        out_dir = spec.output_dir
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         (out / "traces").mkdir(parents=True, exist_ok=True)
@@ -264,10 +260,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, write_traces: bool = True
                     final_residual=trace.summary.final_residual,
                 )
                 if stages is not None:
-                    cell["stages"] = [
-                        {"tau": s["tau"], "iters": s["iters"], "matvecs": s["matvecs"]}
-                        for s in stages
-                    ]
+                    cell["stages"] = stages
                 cell["_wall"] = wall  # stripped from the manifest
                 cells.append(cell)
                 if out is not None and write_traces:

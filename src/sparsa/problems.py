@@ -391,4 +391,5 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        return cls(family=d["family"], params=dict(d.get("params", {})), seed=int(d.get("seed", 0)))
+        """Missing keys take their defaults; an unknown key is a ``TypeError``."""
+        return cls(**d | {"params": dict(d.get("params", {})), "seed": int(d.get("seed", 0))})

@@ -87,9 +87,6 @@ class Regularizer:
             raise ValueError("x and g must have the same length")
         return x, g
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "tau": self.tau}
-
 
 def _check_tau(tau) -> float:
     tau = float(tau)
@@ -192,13 +189,6 @@ class GroupL2Regularizer(Regularizer):
                 r = max(float(np.linalg.norm(gb)) - self.tau, 0.0)
             worst = max(worst, r)
         return worst
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "tau": self.tau,
-            "groups": [g.tolist() for g in self.groups],
-        }
 
 
 # -- isotropic total variation -----------------------------------------------
@@ -391,22 +381,4 @@ class TVIsoRegularizer(Regularizer):
         if state is not None:
             state.p = p
         return z.ravel()
-
-    def to_dict(self):
-        return {"kind": self.kind, "tau": self.tau, "grid": list(self.grid)}
-
-
-def regularizer_from_dict(spec: dict) -> Regularizer:
-    """Build a regularizer from its JSON dict form (see ``to_dict``)."""
-    kind = spec["kind"]
-    tau = float(spec.get("tau", 0.0))
-    if kind == "zero":
-        return ZeroRegularizer(tau)
-    if kind == "l1":
-        return L1Regularizer(tau)
-    if kind == "group-l2":
-        return GroupL2Regularizer(tau, spec["groups"])
-    if kind == "tv-iso":
-        return TVIsoRegularizer(tau, tuple(spec["grid"]))
-    raise ValueError(f"unknown regularizer kind {kind!r}")
 

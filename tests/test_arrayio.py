@@ -55,22 +55,6 @@ class TestPgm:
             arrayio.read_pgm(path)
 
 
-class TestCsv:
-    def test_matrix_roundtrip(self, tmp_path, rng):
-        mat = rng.standard_normal((4, 6))
-        path = tmp_path / "m.csv"
-        arrayio.write_csv(path, mat)
-        assert np.array_equal(arrayio.read_csv(path), mat)
-
-    def test_vector_roundtrip(self, tmp_path, rng):
-        vec = rng.standard_normal(9)
-        path = tmp_path / "v.csv"
-        arrayio.write_csv(path, vec)
-        back = arrayio.read_csv(path)
-        assert back.ndim == 1
-        assert np.array_equal(back, vec)
-
-
 class TestRaw:
     def test_matrix_roundtrip_bitwise(self, tmp_path, rng):
         mat = rng.standard_normal((3, 5))

@@ -1,9 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
-from sparsa import arrayio
+from sparsa import arrayio, cli
 from sparsa.cli import main
 from sparsa.harness import RateFit
 from sparsa.solver import SolverConfig, Trace
@@ -15,29 +14,6 @@ def write_bpdn_spec(path, seed=0):
     return spec
 
 
-class TestGenerate:
-    def test_writes_problem_files(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        write_bpdn_spec(spec_path)
-        out = tmp_path / "problem"
-        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 0
-        assert (out / "spec.json").exists()
-        assert (out / "regularizer.json").exists()
-        A = arrayio.read_raw(out / "A.raw")
-        assert A.shape == (16, 64)
-        b = arrayio.read_raw(out / "b.raw")
-        assert b.shape == (16,)
-        assert (out / "x_true.raw").exists()
-
-    def test_csv_format(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        write_bpdn_spec(spec_path)
-        out = tmp_path / "problem"
-        main(["generate", "--spec", str(spec_path), "--out", str(out), "--format", "csv"])
-        assert (out / "A.csv").exists()
-        assert arrayio.read_csv(out / "b.csv").shape == (16,)
-
-
 class TestSolve:
     def test_print_config(self, capsys):
         assert main(["solve", "--print-config"]) == 0
@@ -47,10 +23,8 @@ class TestSolve:
     def test_solve_problem_dir(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         write_bpdn_spec(spec_path)
-        pdir = tmp_path / "problem"
-        main(["generate", "--spec", str(spec_path), "--out", str(pdir)])
         out = tmp_path / "run"
-        assert main(["solve", "--problem", str(pdir), "--out", str(out), "--eps", "1e-6"]) == 0
+        assert main(["solve", "--spec", str(spec_path), "--out", str(out), "--eps", "1e-6"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "converged"
         assert (out / "trace.csv").exists()
@@ -60,33 +34,29 @@ class TestSolve:
     def test_solve_with_config_overrides(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_bpdn_spec(spec_path)
-        pdir = tmp_path / "problem"
-        main(["generate", "--spec", str(spec_path), "--out", str(pdir)])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"ref_policy": "adaptive", "eps": 1e-4}))
         out = tmp_path / "run"
-        main(["solve", "--problem", str(pdir), "--config", str(cfg_path), "--out", str(out)])
+        main(["solve", "--spec", str(spec_path), "--config", str(cfg_path), "--out", str(out)])
         assert json.loads((out / "summary.json").read_text())["final_residual"] <= 1e-4
 
-    def test_removed_config_key_rejected(self, tmp_path):
+    def test_removed_config_key_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         write_bpdn_spec(spec_path)
-        pdir = tmp_path / "problem"
-        main(["generate", "--spec", str(spec_path), "--out", str(pdir)])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"eta": 3.0}))
         out = tmp_path / "run"
-        with pytest.raises(TypeError, match="eta"):
-            main(["solve", "--problem", str(pdir), "--config", str(cfg_path), "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--spec", str(spec_path), "--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "eta" in capsys.readouterr().err
         assert not out.exists()
 
     def test_continuation_flag_adds_stage_summaries(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_bpdn_spec(spec_path)
-        pdir = tmp_path / "problem"
-        main(["generate", "--spec", str(spec_path), "--out", str(pdir)])
         out = tmp_path / "run"
-        main(["solve", "--problem", str(pdir), "--out", str(out), "--continuation"])
+        main(["solve", "--spec", str(spec_path), "--out", str(out), "--continuation"])
         summary = json.loads((out / "summary.json").read_text())
         assert isinstance(summary["stages"], list)
         assert {"tau", "iters", "matvecs"} <= set(summary["stages"][0])
@@ -94,10 +64,8 @@ class TestSolve:
     def test_continuation_trace_feeds_rates_and_round_trips(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_bpdn_spec(spec_path)
-        pdir = tmp_path / "problem"
-        main(["generate", "--spec", str(spec_path), "--out", str(pdir)])
         out = tmp_path / "run"
-        main(["solve", "--problem", str(pdir), "--out", str(out), "--continuation"])
+        main(["solve", "--spec", str(spec_path), "--out", str(out), "--continuation"])
         trace_path = out / "trace.csv"
         phi_star = json.loads((out / "summary.json").read_text())["final_obj"]
         fit_out = tmp_path / "fit.json"
@@ -150,7 +118,7 @@ class TestBenchRatesCurve:
         ]) == 0
         assert curve_out.read_text().startswith("matvecs,error")
 
-    def test_bench_rejects_removed_config_key(self, tmp_path):
+    def test_bench_rejects_removed_config_key(self, tmp_path, capsys):
         exp = {
             "generator": {"family": "bpdn", "params": {"k": 16, "n": 64, "spikes": 4}, "seed": 0},
             "variants": [{"name": "gll", "config": {"cycle_m": 1, "eta": 3.0}}],
@@ -158,17 +126,147 @@ class TestBenchRatesCurve:
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(json.dumps(exp))
         out = tmp_path / "bench"
-        with pytest.raises(TypeError, match="eta"):
+        with pytest.raises(SystemExit) as exc:
             main(["bench", "--spec", str(spec_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "eta" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_print_config(self, capsys):
         assert main(["bench", "--print-config"]) == 0
         template = json.loads(capsys.readouterr().out)
         assert "generator" in template and "variants" in template
+        assert "output_dir" not in template
+
+    def test_bench_requires_out_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps({"generator": {"family": "bpdn"}}))
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("bench ran without --out")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--spec", str(spec_path)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_missing_args_error(self):
         with pytest.raises(SystemExit):
             main(["solve"])
         with pytest.raises(SystemExit):
             main(["bench"])
+
+
+BPDN = {"family": "bpdn", "params": {"k": 16, "n": 64, "spikes": 4}}
+
+
+class TestBadInput:
+    """A file that cannot be read or built is one usage line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, spec, config, needle",
+        [
+            ("solve", None, None, "No such file"),
+            ("solve", "{not json", None, "JSONDecodeError"),
+            ("solve", {**BPDN, "sed": 3}, None, "sed"),
+            ("solve", {**BPDN, "params": {"spike": 4}}, None, "spike"),
+            ("solve", {"family": "lasso"}, None, "lasso"),
+            ("solve", BPDN, {"cycle_m": 0}, "cycle_m must be positive"),
+            ("solve", BPDN, "[1, 2]", "--config"),
+            ("bench", {"generator": BPDN, "tolerance": [1e-3]}, None, "tolerance"),
+            ("bench", {"generator": BPDN, "repetitions": 0}, None, "repetitions"),
+            ("bench", {"variants": []}, None, "generator"),
+        ],
+        ids=[
+            "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
+            "unknown-family", "invalid-config-value", "config-not-an-object",
+            "unknown-experiment-key", "invalid-experiment-value", "missing-generator",
+        ],
+    )
+    def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):
+        spec_path = tmp_path / "spec.json"
+        if spec is not None:
+            spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        argv = [command, "--spec", str(spec_path), "--out", str(tmp_path / "out")]
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert needle in err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["rates", "curve"])
+    @pytest.mark.parametrize(
+        "content, needle",
+        [(None, "No such file"), ("k,obj\n1,0.5\n", "KeyError")],
+        ids=["missing-file", "missing-column"],
+    )
+    def test_unreadable_trace(self, tmp_path, capsys, command, content, needle):
+        trace_path = tmp_path / "trace.csv"
+        if content is not None:
+            trace_path.write_text(content)
+        argv = [command, "--trace", str(trace_path), "--phi-star", "0", "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err.splitlines()[-1]
+
+    def test_bad_eps_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(BPDN))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--spec", str(spec_path), "--out", str(tmp_path / "out"), "--eps", "-1"])
+        assert exc.value.code == 2
+        assert "eps must be positive" in capsys.readouterr().err
+
+
+def written(directory):
+    return {str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file()}
+
+
+class TestFileContract:
+    """Each command writes a fixed set of files, and each is read by something.
+
+    The solution ``x.raw`` is the answer; every trace feeds ``rates`` and
+    ``curve``; ``table.csv``, ``summary.json`` and ``manifest.json`` are the
+    reports. A new output file fails here until something reads it.
+    """
+
+    def test_solve_and_bench_outputs_are_read(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        write_bpdn_spec(spec_path)
+        traces = []
+        for flags in ([], ["--continuation"]):
+            out = tmp_path / ("solve" + "".join(flags))
+            assert main(["solve", "--spec", str(spec_path), "--out", str(out), *flags]) == 0
+            assert written(out) == {"trace.csv", "summary.json", "x.raw", "x.raw.json"}
+            assert arrayio.read_raw(out / "x.raw").shape == (64,)
+            assert json.loads((out / "summary.json").read_text())["status"] == "converged"
+            traces.append(out / "trace.csv")
+
+        exp_path = tmp_path / "exp.json"
+        exp_path.write_text(json.dumps({"generator": json.loads(spec_path.read_text())}))
+        out = tmp_path / "bench"
+        assert main(["bench", "--spec", str(exp_path), "--out", str(out)]) == 0
+        bench_traces = sorted((out / "traces").glob("*.csv"))
+        assert len(bench_traces) == 4  # one per default variant
+        assert written(out) == {"table.csv", "manifest.json"} | {
+            f"traces/{p.name}" for p in bench_traces
+        }
+        assert len((out / "table.csv").read_text().splitlines()) == 5
+        assert len(json.loads((out / "manifest.json").read_text())["cells"]) == 4
+
+        for i, trace in enumerate(traces + bench_traces):
+            phi_star = repr(float(Trace.read_csv(trace).objective_values().min()) - 1e-6)
+            fit_out, curve_out = tmp_path / f"fit{i}.json", tmp_path / f"curve{i}.csv"
+            assert main(["rates", "--trace", str(trace), "--phi-star", phi_star,
+                         "--out", str(fit_out)]) == 0
+            assert main(["curve", "--trace", str(trace), "--phi-star", phi_star,
+                         "--out", str(curve_out)]) == 0
+            assert len(curve_out.read_text().splitlines()) == len(Trace.read_csv(trace).records) + 1

@@ -212,6 +212,28 @@ class TestRunExperiment:
         back = ExperimentSpec.from_dict(spec.to_dict())
         assert back.to_dict() == spec.to_dict()
 
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"tolerance": [1e-3]}, "tolerance"),
+            ({"repetition": 2}, "repetition"),
+            ({"output_dir": "bench"}, "output_dir"),
+            ({"generator": {"family": "bpdn", "param": {"k": 16}}}, "param"),
+            ({"generator": {"family": "bpdn", "sed": 3}}, "sed"),
+            ({"variants": [{"name": "gll", "continuaton": True}]}, "continuaton"),
+        ],
+        ids=["tolerance", "repetition", "output_dir", "param", "sed", "continuaton"],
+    )
+    def test_unknown_key_rejected(self, patch, key):
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            ExperimentSpec.from_dict({**small_spec().to_dict(), **patch})
+
+    def test_missing_keys_take_defaults(self):
+        spec = ExperimentSpec.from_dict({"generator": {"family": "bpdn"}, "variants": []})
+        assert spec == ExperimentSpec(generator=GeneratorSpec("bpdn"))
+        assert GeneratorSpec.from_dict({"family": "group"}) == GeneratorSpec("group", {}, 0)
+        assert Variant.from_dict({"name": "v"}) == Variant("v")
+
     def test_continuation_variant_records_stages(self, tmp_path):
         spec = small_spec()
         spec.variants = [Variant("gll/c", SolverConfig(cycle_m=1), continuation=True)]

@@ -8,7 +8,6 @@ from sparsa.regularizers import (
     L1Regularizer,
     TVIsoRegularizer,
     ZeroRegularizer,
-    regularizer_from_dict,
     tv_divergence,
     tv_gradient,
     tv_prox,
@@ -298,17 +297,6 @@ class TestConstructionAndSerialization:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             L1Regularizer(-0.5)
-
-    def test_round_trip_through_dict(self):
-        for reg in (
-            ZeroRegularizer(),
-            L1Regularizer(0.3),
-            GroupL2Regularizer(0.5, [[0, 2], [1, 3]]),
-            TVIsoRegularizer(0.1, (3, 4)),
-        ):
-            back = regularizer_from_dict(reg.to_dict())
-            assert back.kind == reg.kind
-            assert back.tau == reg.tau
 
 
 KINDS = {
