@@ -1,8 +1,10 @@
-"""File formats: PGM images and raw float64 arrays with JSON sidecars."""
+"""File formats: PGM images, raw float64 arrays with JSON sidecars, CSV records."""
 
 from __future__ import annotations
 
+import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +90,21 @@ def read_raw(path) -> np.ndarray:
     if cols == 1:
         return data
     return data.reshape(rows, cols)
+
+
+def write_records_csv(path, record_type, records):
+    """Write dataclass records as CSV, one column per field of ``record_type``.
+
+    Every CSV the package writes goes through here: lines end with ``\n``,
+    a value holding a comma is quoted, and floats get 17 significant digits
+    unless a field's ``csv_format`` metadata names another format.
+    """
+    columns = [
+        (f.name, f.metadata.get("csv_format", ".17g" if f.type == "float" else ""))
+        for f in fields(record_type)
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([name for name, _ in columns])
+        for record in records:
+            writer.writerow([format(getattr(record, name), spec) for name, spec in columns])

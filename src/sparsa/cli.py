@@ -61,18 +61,18 @@ def cmd_solve(args):
     with _input("--spec"):
         problem = GeneratorSpec.from_dict(_load_json(args.spec)).make()
     variant = Variant("cli", cfg, continuation=args.continuation)
-    x, trace, status, stages = run_one(problem, variant, cfg.eps)
+    res = run_one(problem, variant, cfg.eps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace.write_csv(out / "trace.csv")
-    summary = trace.summary.to_dict()
-    if stages is not None:
-        summary["stages"] = stages
+    res.trace.write_csv(out / "trace.csv")
+    summary = res.trace.summary.to_dict()
+    if variant.continuation:
+        summary["stages"] = res.stages
     _write_json(out / "summary.json", summary)
-    arrayio.write_raw(out / "x.raw", x)
+    arrayio.write_raw(out / "x.raw", res.x)
     print(
-        f"status={status} iters={trace.summary.iters} "
-        f"matvecs={trace.summary.matvecs} final_obj={trace.summary.final_obj:.12g}"
+        f"status={res.status} iters={summary['iters']} "
+        f"matvecs={summary['matvecs']} final_obj={summary['final_obj']:.12g}"
     )
     return 0
 
@@ -84,11 +84,11 @@ def cmd_bench(args):
         return 0
     with _input("--spec"):
         spec = ExperimentSpec.from_dict(_load_json(args.spec))
-    rows, _ = run_experiment(spec, out_dir=args.out, write_traces=not args.no_traces)
+    rows, _ = run_experiment(spec, args.out)
     for row in rows:
         print(
-            f"{row['variant']:>12}  eps={row['eps']:<8g} "
-            f"Ax={row['mean_matvecs']:10.1f}  obj={row['mean_final_obj']:.6g}"
+            f"{row.variant:>12}  eps={row.eps:<8g} "
+            f"Ax={row.mean_matvecs:10.1f}  obj={row.mean_final_obj:.6g}"
         )
     print(f"table and manifest written to {args.out}")
     return 0
@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run an experiment spec, emit table + manifest")
     p.add_argument("--spec", help="experiment spec JSON")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--no-traces", action="store_true")
     p.add_argument("--print-config", action="store_true", help="print a template and exit")
     p.set_defaults(func=cmd_bench)
 

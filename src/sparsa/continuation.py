@@ -9,11 +9,11 @@ matvecs than attacking the target weight directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .solver import SolverConfig, Trace, TraceRecord, solve
+from .solver import SolveResult, SolverConfig, Trace, TraceRecord, solve
 
 # The first stage's weight as a fraction of ||A^T b||_inf, above which the
 # l1 solution is identically zero.
@@ -55,11 +55,10 @@ class ContinuationSchedule:
 
 
 @dataclass
-class ContinuationResult:
-    x: np.ndarray
-    trace: Trace
-    status: str
-    stages: list[dict] = field(default_factory=list)
+class ContinuationResult(SolveResult):
+    """A solve result plus each stage's weight and cost (tau, iters, matvecs)."""
+
+    stages: list[dict]
 
 
 def solve_with_continuation(
@@ -113,9 +112,4 @@ def solve_with_continuation(
         x_warm = result.x
 
     summary = replace(spent, iters=len(records), matvecs=matvecs, wall_time=wall_time)
-    return ContinuationResult(
-        x=result.x,
-        trace=Trace(records, summary),
-        status=result.status,
-        stages=stages,
-    )
+    return ContinuationResult(x=result.x, trace=Trace(records, summary), stages=stages)

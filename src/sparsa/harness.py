@@ -11,15 +11,15 @@ reference optimum.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import arrayio
 from .continuation import ContinuationSchedule, solve_with_continuation
 from .problems import GeneratorSpec
-from .solver import SolverConfig, Trace, solve
+from .solver import SolveResult, SolverConfig, Trace, check_integer, solve
 
 
 def default_burn_in(n_samples: int) -> int:
@@ -131,11 +131,17 @@ def error_vs_matvec_curve(trace: Trace, phi_star: float) -> np.ndarray:
     return np.column_stack([trace.matvec_values(), objs - phi_star])
 
 
+@dataclass
+class CurvePoint:
+    """One iteration of an error-versus-cost curve; the fields are the CSV columns."""
+
+    matvecs: int
+    error: float
+
+
 def write_curve_csv(path, curve: np.ndarray):
-    with open(path, "w") as fh:
-        fh.write("matvecs,error\n")
-        for mv, err in curve:
-            fh.write(f"{int(mv)},{err:.17g}\n")
+    points = [CurvePoint(int(mv), float(err)) for mv, err in curve]
+    arrayio.write_records_csv(path, CurvePoint, points)
 
 
 # -- benchmark experiments -------------------------------------------------------
@@ -148,6 +154,11 @@ class Variant:
     name: str
     config: SolverConfig = field(default_factory=SolverConfig)
     continuation: bool = False
+
+    @property
+    def file_stem(self) -> str:
+        """The name as it starts trace file names: a '/' would open a directory."""
+        return self.name.replace("/", "-")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -189,8 +200,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.variants or not self.tolerances:
             raise ValueError("an experiment needs at least one variant and one tolerance")
+        check_integer("repetitions", self.repetitions)
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if len({v.file_stem for v in self.variants}) < len(self.variants):
+            names = [v.name for v in self.variants]
+            raise ValueError(f"variant names must stay distinct with '/' read as '-': {names}")
+        for variant in self.variants:  # build every cell's config: a bad tolerance fails here
+            for eps in self.tolerances:
+                variant.config.replaced(eps=eps)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -203,110 +221,82 @@ class ExperimentSpec:
             "variants": [Variant.from_dict(v) for v in d.get("variants", [])]
             or default_variants(),
             "tolerances": [float(t) for t in d.get("tolerances", [1e-5])],
-            "repetitions": int(d.get("repetitions", 1)),
         }
         return cls(**d | converted)
 
 
-def run_one(problem, variant: Variant, eps: float):
-    """Solve one cell; returns (x, trace, status, stages-or-None)."""
+def run_one(problem, variant: Variant, eps: float) -> SolveResult:
+    """Solve one cell; a continuation variant's result is a ``ContinuationResult``."""
     cfg = variant.config.replaced(eps=eps)
     if variant.continuation:
         schedule = ContinuationSchedule(tau_target=problem.regularizer.tau)
-        res = solve_with_continuation(problem, schedule, cfg)
-        return res.x, res.trace, res.status, res.stages
-    res = solve(problem, cfg)
-    return res.x, res.trace, res.status, None
+        return solve_with_continuation(problem, schedule, cfg)
+    return solve(problem, cfg)
 
 
-def run_experiment(spec: ExperimentSpec, out_dir=None, write_traces: bool = True):
-    """Execute the full sweep and aggregate a results table.
+@dataclass
+class TableRow:
+    """One ``table.csv`` row: means over a (variant, eps) pair's finished cells."""
 
-    Returns (table_rows, manifest). Each row is a dict with the variant
-    name, tolerance, and mean matvecs / wall time / final objective over
-    the repetitions. The manifest holds the spec, all derived seeds and
-    all per-cell deterministic results, so rerunning it reproduces every
-    cell bit for bit (wall times are reported only in the table). A
-    failed cell is recorded in the manifest and skipped in the means.
+    variant: str
+    eps: float
+    mean_matvecs: float
+    mean_wall_time: float = field(metadata={"csv_format": ".6f"})
+    mean_final_obj: float
+    runs: int
+
+
+def run_experiment(spec: ExperimentSpec, out_dir) -> tuple[list[TableRow], dict]:
+    """Run every cell; write ``table.csv``, ``manifest.json`` and ``traces/`` to ``out_dir``.
+
+    Returns (table rows, manifest). A manifest cell is its (variant, eps,
+    rep, seed), the solve's summary less its wall time, and any
+    continuation stages, so rerunning reproduces every cell bit for bit.
+    The table's wall time is the mean of the summaries' own. A failed cell
+    is recorded in the manifest and skipped in the means.
     """
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        (out / "traces").mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    (out / "traces").mkdir(parents=True, exist_ok=True)
     cells = []
+    finished = {}  # (variant name, eps) -> summaries of the cells that finished
     for rep in range(spec.repetitions):
         seed = spec.generator.seed + rep
         problem = spec.generator.with_seed(seed).make()
         for eps in spec.tolerances:
             for variant in spec.variants:
-                cell = {
-                    "variant": variant.name,
-                    "eps": eps,
-                    "rep": rep,
-                    "seed": seed,
-                }
-                t0 = time.perf_counter()
+                cell = {"variant": variant.name, "eps": eps, "rep": rep, "seed": seed}
+                cells.append(cell)
                 try:
-                    x, trace, status, stages = run_one(problem, variant, eps)
+                    res = run_one(problem, variant, eps)
                 except Exception as exc:  # record and continue with other cells
                     cell["error"] = f"{type(exc).__name__}: {exc}"
-                    cells.append(cell)
                     continue
-                wall = time.perf_counter() - t0
-                cell.update(
-                    status=status,
-                    iters=trace.summary.iters,
-                    matvecs=trace.summary.matvecs,
-                    final_obj=trace.summary.final_obj,
-                    final_residual=trace.summary.final_residual,
-                )
-                if stages is not None:
-                    cell["stages"] = stages
-                cell["_wall"] = wall  # stripped from the manifest
-                cells.append(cell)
-                if out is not None and write_traces:
-                    safe = variant.name.replace("/", "-")
-                    trace.write_csv(out / "traces" / f"{safe}_eps{eps:g}_rep{rep}.csv")
+                cell |= asdict(res.trace.summary)
+                del cell["wall_time"]  # reported only in the table
+                if variant.continuation:
+                    cell["stages"] = res.stages
+                finished.setdefault((variant.name, eps), []).append(res.trace.summary)
+                trace_name = f"{variant.file_stem}_eps{eps:g}_rep{rep}.csv"
+                res.trace.write_csv(out / "traces" / trace_name)
 
-    rows = []
-    for variant in spec.variants:
-        for eps in spec.tolerances:
-            done = [
-                c
-                for c in cells
-                if c["variant"] == variant.name and c["eps"] == eps and "error" not in c
-            ]
-            if not done:
-                continue
-            rows.append(
-                {
-                    "variant": variant.name,
-                    "eps": eps,
-                    "mean_matvecs": float(np.mean([c["matvecs"] for c in done])),
-                    "mean_wall_time": float(np.mean([c["_wall"] for c in done])),
-                    "mean_final_obj": float(np.mean([c["final_obj"] for c in done])),
-                    "runs": len(done),
-                }
-            )
-
+    rows = [
+        TableRow(
+            variant=variant.name,
+            eps=eps,
+            mean_matvecs=float(np.mean([s.matvecs for s in done])),
+            mean_wall_time=float(np.mean([s.wall_time for s in done])),
+            mean_final_obj=float(np.mean([s.final_obj for s in done])),
+            runs=len(done),
+        )
+        for variant in spec.variants
+        for eps in spec.tolerances
+        if (done := finished.get((variant.name, eps)))
+    ]
     manifest = {
         "spec": spec.to_dict(),
         "seeds": [spec.generator.seed + r for r in range(spec.repetitions)],
-        "cells": [{k: v for k, v in c.items() if k != "_wall"} for c in cells],
+        "cells": cells,
     }
-    if out is not None:
-        write_table_csv(out / "table.csv", rows)
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    arrayio.write_records_csv(out / "table.csv", TableRow, rows)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return rows, manifest
-
-
-TABLE_COLUMNS = ("variant", "eps", "mean_matvecs", "mean_wall_time", "mean_final_obj", "runs")
-
-
-def write_table_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(TABLE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(
-                f"{row['variant']},{row['eps']:.17g},{row['mean_matvecs']:.17g},"
-                f"{row['mean_wall_time']:.6f},{row['mean_final_obj']:.17g},{row['runs']}\n"
-            )

@@ -13,10 +13,12 @@ seeded 64-bit PCG generator (0: operator/matrix, 1: signal/support,
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .arrayio import read_pgm
 from .linops import (
     Blur2D,
     ComposedOperator,
@@ -31,8 +33,7 @@ from .regularizers import (
     Regularizer,
     TVIsoRegularizer,
 )
-
-GENERATOR_FAMILIES = ("bpdn", "group", "deblur", "tv-phantom")
+from .solver import check_integer
 
 
 def _substreams(seed: int):
@@ -351,37 +352,53 @@ def test_pattern(rows: int, cols: int) -> np.ndarray:
 # -- serializable generator specs -----------------------------------------------
 
 
+def _gen_deblur_from_spec(
+    image: str | None = None,
+    rows: int = 64,
+    cols: int = 64,
+    mask_size: int = 8,
+    levels: int = 3,
+    seed: int = 0,
+    tau: float = 5e-5,
+    noise_std: float = 0.0055,
+) -> LeastSquaresProblem:
+    """``gen_deblur`` on the PGM image at path ``image``, or, without one, on
+    the built-in ``rows`` x ``cols`` test pattern."""
+    picture = read_pgm(image) if image else test_pattern(rows, cols)
+    return gen_deblur(
+        picture, mask_size=mask_size, levels=levels, seed=seed, tau=tau, noise_std=noise_std
+    )
+
+
+# family name -> generator taking ``seed`` and the spec's params as keywords
+GENERATORS = {
+    "bpdn": gen_bpdn,
+    "group": gen_group,
+    "deblur": _gen_deblur_from_spec,
+    "tv-phantom": gen_tv_phantom,
+}
+
+
 @dataclass
 class GeneratorSpec:
-    """(family, params, seed) description of a generated problem."""
+    """(family, params, seed) description of a generated problem.
+
+    An unknown family, a non-integer seed or a param the family's generator
+    does not take fails here, before anything is generated.
+    """
 
     family: str
     params: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in GENERATOR_FAMILIES:
+        if self.family not in GENERATORS:
             raise ValueError(f"unknown family {self.family!r}")
+        check_integer("seed", self.seed)
+        inspect.signature(GENERATORS[self.family]).bind(seed=self.seed, **self.params)
 
     def make(self) -> LeastSquaresProblem:
-        params = dict(self.params)
-        if self.family == "bpdn":
-            return gen_bpdn(seed=self.seed, **params)
-        if self.family == "group":
-            return gen_group(seed=self.seed, **params)
-        if self.family == "tv-phantom":
-            return gen_tv_phantom(seed=self.seed, **params)
-        # deblur: the image comes from a PGM path or the built-in pattern
-        from .arrayio import read_pgm
-
-        image_path = params.pop("image", None)
-        if image_path:
-            image = read_pgm(image_path)
-        else:
-            image = test_pattern(params.pop("rows", 64), params.pop("cols", 64))
-        params.pop("rows", None)
-        params.pop("cols", None)
-        return gen_deblur(image, seed=self.seed, **params)
+        return GENERATORS[self.family](seed=self.seed, **self.params)
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)
@@ -392,4 +409,4 @@ class GeneratorSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
         """Missing keys take their defaults; an unknown key is a ``TypeError``."""
-        return cls(**d | {"params": dict(d.get("params", {})), "seed": int(d.get("seed", 0))})
+        return cls(**d | {"params": dict(d.get("params", {}))})

@@ -30,6 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import arrayio
 from .regularizers import Regularizer
 
 STATUS_CONVERGED = "converged"
@@ -46,6 +47,12 @@ class BacktrackLimitExceeded(RuntimeError):
 
 class NonFiniteObjective(FloatingPointError):
     """A trial objective evaluated to NaN or infinity."""
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +91,7 @@ class SolverConfig:
                 raise ValueError(f"{f.name} must be finite")
             optional_unset = f.type == "int | None" and value is None
             if f.type.startswith("int") and not optional_unset:
-                if not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                check_integer(f.name, value)
         if self.cycle_m is not None and self.cycle_m < 1:
             raise ValueError("cycle_m must be positive")
         if self.ref_policy not in (REF_GLL, REF_ADAPTIVE):
@@ -163,15 +169,7 @@ class Trace:
         return np.array([r.matvecs for r in self.records])
 
     def write_csv(self, path):
-        columns = [
-            (f.name, f.metadata.get("csv_format", ".17g" if f.type == "float" else "d"))
-            for f in fields(TraceRecord)
-        ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([name for name, _ in columns])
-            for r in self.records:
-                writer.writerow([format(getattr(r, name), spec) for name, spec in columns])
+        arrayio.write_records_csv(path, TraceRecord, self.records)
 
     @classmethod
     def read_csv(cls, path) -> "Trace":
@@ -186,9 +184,14 @@ class Trace:
 
 @dataclass
 class SolveResult:
+    """The final iterate and the run's trace; the status is the summary's."""
+
     x: np.ndarray
     trace: Trace
-    status: str
+
+    @property
+    def status(self) -> str:
+        return self.trace.summary.status
 
 
 # -- stepsize seeds and reference values --------------------------------------
@@ -399,7 +402,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         final_residual=final_residual,
         wall_time=time.perf_counter() - t0,
     )
-    return SolveResult(x=x, trace=Trace(records, summary), status=status)
+    return SolveResult(x=x, trace=Trace(records, summary))
 
 
 def acceptance_violation(trace: Trace, sigma: float) -> float:

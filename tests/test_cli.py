@@ -1,11 +1,25 @@
+import csv
+import io
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
 from sparsa import arrayio, cli
 from sparsa.cli import main
-from sparsa.harness import RateFit
-from sparsa.solver import SolverConfig, Trace
+from sparsa.harness import (
+    CurvePoint,
+    ExperimentSpec,
+    RateFit,
+    TableRow,
+    Variant,
+    error_vs_matvec_curve,
+    run_experiment,
+    run_one,
+    write_curve_csv,
+)
+from sparsa.problems import GeneratorSpec
+from sparsa.solver import SolverConfig, Trace, TraceRecord
 
 
 def write_bpdn_spec(path, seed=0):
@@ -177,11 +191,15 @@ class TestBadInput:
             ("bench", {"generator": BPDN, "tolerance": [1e-3]}, None, "tolerance"),
             ("bench", {"generator": BPDN, "repetitions": 0}, None, "repetitions"),
             ("bench", {"variants": []}, None, "generator"),
+            ("bench", {"generator": {**BPDN, "params": {"spike": 4}}}, None, "spike"),
+            ("bench", {"generator": BPDN, "tolerances": [-1]}, None, "eps must be positive"),
+            ("solve", {**BPDN, "seed": 1.7}, None, "seed must be an integer"),
         ],
         ids=[
             "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
             "unknown-family", "invalid-config-value", "config-not-an-object",
             "unknown-experiment-key", "invalid-experiment-value", "missing-generator",
+            "bench-unknown-param", "bench-negative-tolerance", "fractional-seed",
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):
@@ -230,6 +248,25 @@ def written(directory):
     return {str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file()}
 
 
+def parse_records(path, record_type):
+    """Read a package CSV with ``csv.DictReader`` only; the header must be the fields."""
+    data = path.read_bytes()
+    assert b"\r" not in data
+    names = [f.name for f in fields(record_type)]
+    parse = {"int": int, "float": float, "str": str}
+    reader = csv.DictReader(io.StringIO(data.decode()))
+    rows = list(reader)
+    assert reader.fieldnames == names
+    return [
+        record_type(**{f.name: parse[f.type](row[f.name]) for f in fields(record_type)})
+        for row in rows
+    ]
+
+
+def without_wall_times(record):
+    return {k: v for k, v in asdict(record).items() if "wall_time" not in k}
+
+
 class TestFileContract:
     """Each command writes a fixed set of files, and each is read by something.
 
@@ -270,3 +307,44 @@ class TestFileContract:
             assert main(["curve", "--trace", str(trace), "--phi-star", phi_star,
                          "--out", str(curve_out)]) == 0
             assert len(curve_out.read_text().splitlines()) == len(Trace.read_csv(trace).records) + 1
+
+    def test_every_csv_reads_back_by_its_fields(self, tmp_path):
+        spec = ExperimentSpec(
+            generator=GeneratorSpec("bpdn", BPDN["params"]),
+            variants=[Variant("x,y"), Variant("gll/c", continuation=True)],
+            tolerances=[1e-4],
+        )
+        rows, _ = run_experiment(spec, tmp_path / "bench")
+        table = parse_records(tmp_path / "bench" / "table.csv", TableRow)
+        assert [without_wall_times(r) for r in table] == [without_wall_times(r) for r in rows]
+        assert [r.mean_wall_time for r in table] == pytest.approx(
+            [r.mean_wall_time for r in rows], abs=1e-6
+        )
+
+        res = run_one(spec.generator.make(), spec.variants[1], 1e-4)
+        res.trace.write_csv(tmp_path / "trace.csv")
+        trace = parse_records(tmp_path / "trace.csv", TraceRecord)
+        assert [without_wall_times(r) for r in trace] == [
+            without_wall_times(r) for r in res.trace.records
+        ]
+        assert [r.wall_time for r in trace] == pytest.approx(
+            [r.wall_time for r in res.trace.records], abs=1e-6
+        )
+        assert {p.name for p in (tmp_path / "bench" / "traces").iterdir()} == {
+            "x,y_eps0.0001_rep0.csv", "gll-c_eps0.0001_rep0.csv"
+        }
+
+        curve = error_vs_matvec_curve(res.trace, res.trace.summary.final_obj - 1e-6)
+        write_curve_csv(tmp_path / "curve.csv", curve)
+        points = parse_records(tmp_path / "curve.csv", CurvePoint)
+        assert [(p.matvecs, p.error) for p in points] == [(int(m), e) for m, e in curve]
+
+    def test_bench_no_traces_flag_is_gone(self, tmp_path, capsys):
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps({"generator": BPDN}))
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--spec", str(spec_path), "--out", str(out), "--no-traces"])
+        assert exc.value.code == 2
+        assert "--no-traces" in capsys.readouterr().err
+        assert not out.exists()

@@ -132,8 +132,8 @@ class TestRunExperiment:
     def test_smallest_experiment_single_row(self, tmp_path):
         rows, manifest = run_experiment(small_spec(), out_dir=tmp_path)
         assert len(rows) == 1
-        assert rows[0]["variant"] == "gll"
-        assert rows[0]["runs"] == 1
+        assert rows[0].variant == "gll"
+        assert rows[0].runs == 1
         assert (tmp_path / "table.csv").exists()
         assert (tmp_path / "manifest.json").exists()
         assert len(list((tmp_path / "traces").glob("*.csv"))) == 1
@@ -164,14 +164,14 @@ class TestRunExperiment:
     def test_shared_seed_per_repetition(self, tmp_path):
         spec = small_spec(reps=3)
         spec.variants.append(Variant("adaptive", SolverConfig(ref_policy="adaptive")))
-        _, manifest = run_experiment(spec, out_dir=None, write_traces=False)
+        _, manifest = run_experiment(spec, tmp_path)
         by_rep = {}
         for cell in manifest["cells"]:
             by_rep.setdefault(cell["rep"], set()).add(cell["seed"])
         assert all(len(seeds) == 1 for seeds in by_rep.values())
         assert manifest["seeds"] == [0, 1, 2]
 
-    def test_failed_cell_recorded_and_others_proceed(self, monkeypatch):
+    def test_failed_cell_recorded_and_others_proceed(self, monkeypatch, tmp_path):
         spec = small_spec(reps=1)
         spec.variants = [
             Variant("broken", SolverConfig(ref_policy="adaptive")),
@@ -186,11 +186,11 @@ class TestRunExperiment:
             return line_search_step(x, g, phi_ref, alpha_seed, f_value, reg, cfg, prox_state)
 
         monkeypatch.setattr(solver, "line_search_step", fail_adaptive)
-        rows, manifest = run_experiment(spec, out_dir=None, write_traces=False)
+        rows, manifest = run_experiment(spec, tmp_path)
         errors = [c for c in manifest["cells"] if "error" in c]
         assert len(errors) == 1
         assert "BacktrackLimitExceeded" in errors[0]["error"]
-        assert [r["variant"] for r in rows] == ["gll"]
+        assert [r.variant for r in rows] == ["gll"]
 
     @pytest.mark.parametrize(
         "empty", [{"repetitions": 0}, {"repetitions": -1}, {"tolerances": []}],
@@ -202,6 +202,29 @@ class TestRunExperiment:
             replace(spec, **empty)
         with pytest.raises(ValueError):
             ExperimentSpec.from_dict({**spec.to_dict(), **empty})
+
+    @pytest.mark.parametrize(
+        "patch, needle",
+        [
+            ({"tolerances": [-1.0]}, "eps must be positive"),
+            ({"tolerances": [1e-3, float("nan")]}, "eps must be finite"),
+            ({"repetitions": 2.9}, "repetitions must be an integer"),
+            ({"repetitions": True}, "repetitions must be an integer"),
+            ({"generator": {"family": "bpdn", "seed": 1.7}}, "seed must be an integer"),
+        ],
+        ids=["negative-tolerance", "nan-tolerance", "fractional-repetitions",
+             "bool-repetitions", "fractional-seed"],
+    )
+    def test_invalid_value_rejected(self, patch, needle):
+        with pytest.raises(ValueError, match=needle):
+            ExperimentSpec.from_dict({**small_spec().to_dict(), **patch})
+
+    @pytest.mark.parametrize(
+        "names", [["v", "v"], ["a/b", "a-b"]], ids=["duplicate", "same-trace-file"]
+    )
+    def test_colliding_variant_names_rejected(self, names):
+        with pytest.raises(ValueError, match="distinct"):
+            replace(small_spec(), variants=[Variant(name) for name in names])
 
     def test_spec_without_variants_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sparsa.linops import IdentityOperator
 from sparsa.problems import (
+    GENERATORS,
     GeneratorSpec,
     LeastSquaresProblem,
     gen_bpdn,
@@ -245,6 +247,24 @@ class TestGeneratorSpec:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             GeneratorSpec("wavelet-zoo", {}, 0)
+
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    def test_unknown_param_rejected_by_name(self, family):
+        with pytest.raises(TypeError, match="spike"):
+            GeneratorSpec(family, {"spike": 4})
+        with pytest.raises(TypeError, match="spike"):
+            GeneratorSpec.from_dict({"family": family, "params": {"spike": 4}})
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            GeneratorSpec.from_dict({"family": "bpdn", "seed": seed})
+
+    def test_deblur_entry_keeps_gen_deblur_defaults(self):
+        entry = inspect.signature(GENERATORS["deblur"]).parameters
+        for name, param in inspect.signature(gen_deblur).parameters.items():
+            if name != "image":
+                assert entry[name].default == param.default, name
 
     def test_pgm_image_source(self, tmp_path):
         from sparsa import arrayio
