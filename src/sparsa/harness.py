@@ -209,6 +209,11 @@ class ExperimentSpec:
         for variant in self.variants:  # build every cell's config: a bad tolerance fails here
             for eps in self.tolerances:
                 variant.config.replaced(eps=eps)
+        # trace files and table rows are keyed by the tolerance as :g prints it
+        labels = [f"{eps:g}" for eps in self.tolerances]
+        colliding = [eps for eps, label in zip(self.tolerances, labels) if labels.count(label) > 1]
+        if colliding:
+            raise ValueError(f"tolerances must stay distinct when printed with :g: {colliding}")
 
     def to_dict(self) -> dict:
         return asdict(self)

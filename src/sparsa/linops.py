@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .solver import check_integer
+
 
 class LinearOperator:
     """Base class for matrix-free operators.
@@ -145,18 +147,22 @@ class PartialFourier2D(LinearOperator):
 
 
 class Blur2D(LinearOperator):
-    """Circular 2-D convolution with a uniform box kernel, via FFT.
+    """Circular 2-D convolution with a uniform box kernel, via real FFTs.
 
     The kernel is ``mask_size x mask_size`` with total weight 1, centered
     at offsets ``arange(mask_size) - mask_size // 2`` in each direction.
-    The adjoint uses the conjugate transfer function, so adjoint
-    consistency is exact even though an even-sized box is not symmetric
-    under the circular shift.
+    Images are real, so ``rfft2``/``irfft2`` carry only the half spectrum
+    (``cols // 2 + 1`` columns). The half-spectrum transfer function and
+    its conjugate are computed once, read-only; the adjoint multiplies by
+    the stored conjugate, so adjoint consistency is exact even though an
+    even-sized box is not symmetric under the circular shift.
     """
 
     kind = "blur-2d"
 
     def __init__(self, rows: int, cols: int, mask_size: int = 8):
+        for name, value in (("rows", rows), ("cols", cols), ("mask_size", mask_size)):
+            check_integer(name, value)
         if mask_size < 1 or mask_size > min(rows, cols):
             raise ValueError("mask_size must be in [1, min(rows, cols)]")
         offs = np.arange(mask_size) - mask_size // 2
@@ -164,19 +170,23 @@ class Blur2D(LinearOperator):
         padded[np.ix_(offs % rows, offs % cols)] = 1.0 / mask_size**2
         self.rows = int(rows)
         self.cols = int(cols)
-        self._transfer = np.fft.fft2(padded)
+        self._transfer = np.fft.rfft2(padded)
+        self._transfer_conj = np.conj(self._transfer)
+        self._transfer.setflags(write=False)
+        self._transfer_conj.setflags(write=False)
         super().__init__(rows * cols, rows * cols)
 
     def _convolve(self, x, transfer):
-        img = x.reshape(self.rows, self.cols)
-        out = np.fft.ifft2(np.fft.fft2(img) * transfer)
-        return np.real(out).ravel()
+        spectrum = np.fft.rfft2(x.reshape(self.rows, self.cols))
+        spectrum *= transfer
+        # without s=, an odd cols would come back as cols - 1 columns
+        return np.fft.irfft2(spectrum, s=(self.rows, self.cols)).ravel()
 
     def _apply(self, x):
         return self._convolve(x, self._transfer)
 
     def _adjoint(self, y):
-        return self._convolve(y, np.conj(self._transfer))
+        return self._convolve(y, self._transfer_conj)
 
 
 def haar_analysis_2d(image: np.ndarray, levels: int) -> np.ndarray:
@@ -237,6 +247,8 @@ class HaarSynthesis2D(LinearOperator):
     kind = "haar-dwt-2d"
 
     def __init__(self, rows: int, cols: int, levels: int):
+        for name, value in (("rows", rows), ("cols", cols), ("levels", levels)):
+            check_integer(name, value)
         if levels < 0:
             raise ValueError("levels must be >= 0")
         if rows % (1 << levels) or cols % (1 << levels):

@@ -383,8 +383,9 @@ GENERATORS = {
 class GeneratorSpec:
     """(family, params, seed) description of a generated problem.
 
-    An unknown family, a non-integer seed or a param the family's generator
-    does not take fails here, before anything is generated.
+    An unknown family, a param the family's generator does not take, or a
+    non-integer value for the seed or any other ``int`` parameter fails
+    here, before anything is generated.
     """
 
     family: str
@@ -394,8 +395,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in GENERATORS:
             raise ValueError(f"unknown family {self.family!r}")
-        check_integer("seed", self.seed)
-        inspect.signature(GENERATORS[self.family]).bind(seed=self.seed, **self.params)
+        signature = inspect.signature(GENERATORS[self.family], eval_str=True)
+        bound = signature.bind(seed=self.seed, **self.params)
+        for name, value in bound.arguments.items():
+            if signature.parameters[name].annotation is int:
+                check_integer(name, value)
 
     def make(self) -> LeastSquaresProblem:
         return GENERATORS[self.family](seed=self.seed, **self.params)

@@ -118,6 +118,25 @@ def tv_prox_plain_loop(u, weight, p0=None, max_iters=40, tol=1e-5, step=0.248, d
     return z, np.stack([px, py])
 
 
+def box_blur_complex_fft(x, rows, cols, mask_size, adjoint=False):
+    """The circular box blur through the full complex spectrum.
+
+    ``fft2`` of the image times ``fft2`` of the zero-padded kernel (offsets
+    ``arange(m) - m // 2``, weight ``1/m**2``), conjugated for the adjoint,
+    then the real part of ``ifft2``. ``sparsa.linops.Blur2D`` does the same
+    on the half spectrum of real FFTs; this is the reference it is checked
+    against.
+    """
+    offs = np.arange(mask_size) - mask_size // 2
+    padded = np.zeros((rows, cols))
+    padded[np.ix_(offs % rows, offs % cols)] = 1.0 / mask_size**2
+    transfer = np.fft.fft2(padded)
+    if adjoint:
+        transfer = np.conj(transfer)
+    img = np.asarray(x, dtype=float).reshape(rows, cols)
+    return np.real(np.fft.ifft2(np.fft.fft2(img) * transfer)).ravel()
+
+
 def tv_objective(z, u, weight):
     """0.5||z-u||^2 + weight * isotropic TV, written out independently."""
     z = np.asarray(z, dtype=float)

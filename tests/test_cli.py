@@ -173,6 +173,7 @@ class TestBenchRatesCurve:
 
 
 BPDN = {"family": "bpdn", "params": {"k": 16, "n": 64, "spikes": 4}}
+DEBLUR = {"family": "deblur", "params": {"rows": 16, "cols": 16}}
 
 
 class TestBadInput:
@@ -194,12 +195,18 @@ class TestBadInput:
             ("bench", {"generator": {**BPDN, "params": {"spike": 4}}}, None, "spike"),
             ("bench", {"generator": BPDN, "tolerances": [-1]}, None, "eps must be positive"),
             ("solve", {**BPDN, "seed": 1.7}, None, "seed must be an integer"),
+            ("bench", {"generator": BPDN, "tolerances": [1e-3, 1e-3]}, None, "distinct"),
+            ("solve", {**DEBLUR, "params": {**DEBLUR["params"], "mask_size": 2.0}}, None,
+             "mask_size must be an integer"),
+            ("bench", {"generator": {**DEBLUR, "params": {**DEBLUR["params"], "levels": 1.5}}},
+             None, "levels must be an integer"),
         ],
         ids=[
             "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
             "unknown-family", "invalid-config-value", "config-not-an-object",
             "unknown-experiment-key", "invalid-experiment-value", "missing-generator",
             "bench-unknown-param", "bench-negative-tolerance", "fractional-seed",
+            "bench-colliding-tolerances", "fractional-mask-size", "bench-fractional-levels",
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):

@@ -226,6 +226,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="distinct"):
             replace(small_spec(), variants=[Variant(name) for name in names])
 
+    @pytest.mark.parametrize(
+        "tolerances", [[1e-3, 1e-3], [1e-4, 1.0000001e-4]], ids=["duplicate", "same-trace-file"]
+    )
+    def test_colliding_tolerances_rejected(self, tolerances):
+        with pytest.raises(ValueError, match=r"distinct.*\[" + ", ".join(map(repr, tolerances))):
+            replace(small_spec(), tolerances=tolerances)
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentSpec.from_dict({**small_spec().to_dict(), "tolerances": tolerances})
+
     def test_spec_without_variants_rejected(self):
         with pytest.raises(ValueError):
             replace(small_spec(), variants=[])

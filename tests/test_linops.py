@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import box_blur_complex_fft
 from sparsa.linops import (
     Blur2D,
     ComposedOperator,
@@ -20,6 +21,7 @@ def all_concrete_ops(rng):
         PartialFourier2D(8, 8, rng.random((8, 8)) < 0.4),
         Blur2D(8, 8, 3),
         Blur2D(8, 8, 4),  # even kernel exercises the centering convention
+        Blur2D(7, 9, 4),  # odd, non-square: irfft2 must be told the output shape
         HaarSynthesis2D(8, 8, 2),
         ComposedOperator(Blur2D(8, 8, 8), HaarSynthesis2D(8, 8, 3)),
     ]
@@ -97,9 +99,10 @@ class TestBlur:
         x = rng.standard_normal(36)
         assert np.allclose(op.apply(x), x, atol=1e-12)
 
-    def test_matches_direct_convolution(self, rng):
-        rows = cols = 16
-        m = 5
+    @pytest.mark.parametrize(
+        "rows, cols, m", [(16, 16, 5), (9, 7, 4)], ids=["16x16-m5", "9x7-m4"]
+    )
+    def test_matches_direct_convolution(self, rng, rows, cols, m):
         op = Blur2D(rows, cols, m)
         img = rng.standard_normal((rows, cols))
         # direct O(n^2) circular convolution, offsets arange(m) - m//2
@@ -113,9 +116,36 @@ class TestBlur:
                 expected[i, j] = acc / m**2
         assert np.allclose(op.apply(img.ravel()).reshape(rows, cols), expected, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "rows, cols, m", [(8, 8, 3), (7, 9, 4), (256, 256, 8)], ids=["8x8", "7x9", "256x256"]
+    )
+    def test_matches_complex_fft_reference(self, rng, rows, cols, m):
+        op = Blur2D(rows, cols, m)
+        x = rng.random(rows * cols)
+        got_apply, got_adjoint = op.apply(x), op.adjoint(x)
+        assert got_apply.shape == got_adjoint.shape == (rows * cols,)
+        assert np.max(np.abs(got_apply - box_blur_complex_fft(x, rows, cols, m))) <= 1e-13
+        assert np.max(np.abs(got_adjoint - box_blur_complex_fft(x, rows, cols, m, True))) <= 1e-13
+
+    def test_transfer_functions_read_only(self):
+        op = Blur2D(8, 8, 4)
+        for transfer in (op._transfer, op._transfer_conj):
+            with pytest.raises(ValueError):
+                transfer[0, 0] = 0.0
+
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError):
             Blur2D(4, 4, 5)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((8, 8, 2.0), "mask_size"), ((8, 8, True), "mask_size"), ((8.0, 8, 2), "rows"),
+         ((8, np.float64(8), 2), "cols")],
+        ids=["float-mask", "bool-mask", "float-rows", "numpy-float-cols"],
+    )
+    def test_non_integer_size_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Blur2D(*args)
 
 
 class TestHaar:
@@ -163,6 +193,16 @@ class TestHaar:
     def test_divisibility_validated(self):
         with pytest.raises(ValueError):
             HaarSynthesis2D(6, 6, 2)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((8, 8, 1.5), "levels"), ((8, 8, False), "levels"), ((8, 8.0, 1), "cols"),
+         ((np.float64(8), 8, 1), "rows")],
+        ids=["float-levels", "bool-levels", "float-cols", "numpy-float-rows"],
+    )
+    def test_non_integer_size_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            HaarSynthesis2D(*args)
 
 
 class TestCounting:

@@ -3,8 +3,9 @@
 ``perfbench/run.py`` reads the config's ``sigma``, the result's ``status``
 and, under continuation, its ``stages``. These tests call its
 ``run_solve`` on a small spike-recovery cell, plain and with continuation,
-so a refactor that breaks one of those names fails here rather than in a
-benchmark run.
+and on a small deblur cell, so a refactor that breaks one of those names,
+or the FFT/Haar operator the deblur workload solves through, fails here
+rather than in a benchmark run.
 """
 
 from pathlib import Path
@@ -50,3 +51,18 @@ def test_stage_traces_split_a_continuation_run(perfbench):
     assert len(traces) == len(result.stages) > 1
     assert sum(len(t.records) for t in traces) == len(result.trace.records)
     assert traces[-1].summary is result.trace.summary
+
+
+def test_deblur_cell_passes_its_checks(perfbench):
+    run, workloads = perfbench
+    deblur = workloads.WORKLOADS["deblur"]
+    cell = deblur.cells[0]
+
+    def small_deblur():
+        image = problems.test_pattern(32, 32)
+        return problems.gen_deblur(image, mask_size=4, levels=2, seed=0, tau=cell.tau)
+
+    reference = solver.solve(small_deblur(), solver.SolverConfig(eps=1e-6)).trace.summary.final_obj
+    out = run.run_solve(0, cell, small_deblur(), reference, gap_tol=deblur.gap_tol)
+    assert out.errors == []
+    assert out.matvecs > 0 and out.iters > 0

@@ -69,7 +69,15 @@ def tv_phantom():
     return problem, lambda: solver.solve(problem, solver.SolverConfig(eps=1e-5))
 
 
-@pytest.mark.parametrize("make", [bpdn, bpdn_continuation, tv_phantom], ids=lambda f: f.__name__)
+def deblur():
+    image = problems.test_pattern(32, 32)
+    problem = problems.gen_deblur(image, mask_size=4, levels=2, seed=0, tau=5e-5)
+    return problem, lambda: solver.solve(problem, solver.SolverConfig(eps=1e-4))
+
+
+@pytest.mark.parametrize(
+    "make", [bpdn, bpdn_continuation, tv_phantom, deblur], ids=lambda f: f.__name__
+)
 def test_traced_counts_match_package_counters(tracer_cls, make):
     problem, run = make()
     op = problem.op
