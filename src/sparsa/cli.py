@@ -3,7 +3,8 @@
 ``solve`` and ``bench`` rebuild each problem from its generator spec, so
 no command writes a problem's arrays; every file written is a result or
 a trace that ``rates`` and ``curve`` read. An input file that cannot be
-read, parsed or built is a one-line usage error (exit status 2).
+read, parsed or built, and an option value that the rate fit or the curve
+rejects, is a one-line usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def cmd_bench(args):
         return 0
     with _input("--spec"):
         spec = ExperimentSpec.from_dict(_load_json(args.spec))
+        spec.generator.make()  # a generator argument out of range fails before --out exists
     rows, _ = run_experiment(spec, args.out)
     for row in rows:
         print(
@@ -97,7 +99,8 @@ def cmd_bench(args):
 def cmd_rates(args):
     with _input("--trace"):
         trace = Trace.read_csv(args.trace)
-    fit = fit_rates(trace, args.phi_star, burn_in=args.burn_in)
+    with _input("--phi-star/--burn-in"):
+        fit = fit_rates(trace, args.phi_star, burn_in=args.burn_in)
     _write_json(args.out, fit.to_dict())
     print(json.dumps(fit.to_dict(), indent=2))
     return 0
@@ -106,7 +109,8 @@ def cmd_rates(args):
 def cmd_curve(args):
     with _input("--trace"):
         trace = Trace.read_csv(args.trace)
-    curve = error_vs_matvec_curve(trace, args.phi_star)
+    with _input("--phi-star"):
+        curve = error_vs_matvec_curve(trace, args.phi_star)
     write_curve_csv(args.out, curve)
     print(f"{curve.shape[0]} points written to {args.out}")
     return 0

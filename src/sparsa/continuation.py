@@ -77,9 +77,9 @@ def solve_with_continuation(
     """
     cfg = cfg or SolverConfig()
     x_warm = np.asarray(problem.x1, dtype=float)
-    before = int(getattr(problem, "matvec_total", 0))
+    before = problem.matvec_total
     scale = float(np.max(np.abs(problem.f_grad(np.zeros_like(x_warm)))))
-    matvecs = int(getattr(problem, "matvec_total", 0)) - before
+    matvecs = problem.matvec_total - before
     taus = schedule.stages(scale)
 
     records: list[TraceRecord] = []

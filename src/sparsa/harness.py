@@ -19,7 +19,7 @@ import numpy as np
 from . import arrayio
 from .continuation import ContinuationSchedule, solve_with_continuation
 from .problems import GeneratorSpec
-from .solver import SolveResult, SolverConfig, Trace, check_integer, solve
+from .solver import SolveResult, SolverConfig, Trace, check_integer, check_real, solve
 
 
 def default_burn_in(n_samples: int) -> int:
@@ -30,13 +30,15 @@ def default_burn_in(n_samples: int) -> int:
 def _usable(errors, burn_in: int):
     errors = np.asarray(errors, dtype=float)
     if burn_in < 0 or burn_in >= errors.size:
-        raise ValueError("burn_in must be inside the sample range")
+        raise ValueError(f"burn_in must be in [0, {errors.size}), got {burn_in}")
     ks = np.arange(1, errors.size + 1)[burn_in:]
     es = errors[burn_in:]
     keep = es > 0
     ks, es = ks[keep], es[keep]
     if es.size < 5:
-        raise ValueError(f"only {es.size} usable samples after burn-in; need >= 5")
+        raise ValueError(
+            f"only {es.size} samples after burn-in {burn_in} lie above phi_star; need >= 5"
+        )
     return ks, es
 
 
@@ -155,6 +157,12 @@ class Variant:
     config: SolverConfig = field(default_factory=SolverConfig)
     continuation: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"variant name must be a string, got {self.name!r}")
+        if not isinstance(self.continuation, bool):
+            raise ValueError(f"continuation must be true or false, got {self.continuation!r}")
+
     @property
     def file_stem(self) -> str:
         """The name as it starts trace file names: a '/' would open a directory."""
@@ -166,8 +174,7 @@ class Variant:
     @classmethod
     def from_dict(cls, d: dict) -> "Variant":
         """Missing keys take their defaults; an unknown key is a ``TypeError``."""
-        config = SolverConfig.from_dict(d.get("config", {}))
-        return cls(**d | {"config": config, "continuation": bool(d.get("continuation", False))})
+        return cls(**d | {"config": SolverConfig.from_dict(d.get("config", {}))})
 
 
 def default_variants() -> list[Variant]:
@@ -200,6 +207,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.variants or not self.tolerances:
             raise ValueError("an experiment needs at least one variant and one tolerance")
+        for eps in self.tolerances:
+            check_real("tolerances", eps)
+        self.tolerances = [float(eps) for eps in self.tolerances]
         check_integer("repetitions", self.repetitions)
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
@@ -225,7 +235,6 @@ class ExperimentSpec:
             "generator": GeneratorSpec.from_dict(d["generator"]),
             "variants": [Variant.from_dict(v) for v in d.get("variants", [])]
             or default_variants(),
-            "tolerances": [float(t) for t in d.get("tolerances", [1e-5])],
         }
         return cls(**d | converted)
 
@@ -261,12 +270,13 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> tuple[list[TableRow], dict]
     is recorded in the manifest and skipped in the means.
     """
     out = Path(out_dir)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
     cells = []
     finished = {}  # (variant name, eps) -> summaries of the cells that finished
     for rep in range(spec.repetitions):
         seed = spec.generator.seed + rep
         problem = spec.generator.with_seed(seed).make()
+        # created after the first problem: a generator that rejects its arguments writes nothing
+        (out / "traces").mkdir(parents=True, exist_ok=True)
         for eps in spec.tolerances:
             for variant in spec.variants:
                 cell = {"variant": variant.name, "eps": eps, "rep": rep, "seed": seed}

@@ -20,7 +20,8 @@ class LinearOperator:
     Subclasses set ``kind`` and implement ``_apply`` / ``_adjoint`` on
     validated 1-D float arrays. Instances are immutable after
     construction except for the ``forward_count`` and ``adjoint_count``
-    application counters.
+    application counters, which only the public ``apply`` / ``adjoint``
+    advance.
     """
 
     kind = "abstract"
@@ -127,7 +128,6 @@ class PartialFourier2D(LinearOperator):
             raise ValueError("mask selects no Fourier locations")
         self.rows = int(rows)
         self.cols = int(cols)
-        self.mask = mask
         self._idx = idx
         self._scale = 1.0 / np.sqrt(rows * cols)
         super().__init__(rows * cols, 2 * idx.size)
@@ -270,8 +270,9 @@ class HaarSynthesis2D(LinearOperator):
 class ComposedOperator(LinearOperator):
     """Composition ``A = outer o inner`` (apply = outer(inner(x))).
 
-    Applying the composition counts once on the composition itself and
-    once on each constituent.
+    Applying the composition counts once, on the composition itself: it
+    runs its constituents' ``_apply`` / ``_adjoint``, so their counters do
+    not move.
     """
 
     kind = "composition"
@@ -287,13 +288,8 @@ class ComposedOperator(LinearOperator):
         super().__init__(inner.domain_dim, outer.range_dim)
 
     def _apply(self, x):
-        return self.outer.apply(self.inner.apply(x))
+        return self.outer._apply(self.inner._apply(x))
 
     def _adjoint(self, y):
-        return self.inner.adjoint(self.outer.adjoint(y))
-
-    def reset_counters(self):
-        super().reset_counters()
-        self.outer.reset_counters()
-        self.inner.reset_counters()
+        return self.inner._adjoint(self.outer._adjoint(y))
 

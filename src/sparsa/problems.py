@@ -63,7 +63,6 @@ class LeastSquaresProblem:
     regularizer: Regularizer
     x1: np.ndarray
     x_true: np.ndarray | None = None
-    seed: int | None = None
 
     def f_value(self, x) -> float:
         r = self.op.apply(x) - self.b
@@ -141,7 +140,6 @@ def gen_bpdn(
         regularizer=L1Regularizer(tau),
         x1=np.zeros(n),
         x_true=x_true,
-        seed=seed,
     )
 
 
@@ -183,7 +181,6 @@ def gen_group(
         regularizer=GroupL2Regularizer(tau, groups),
         x1=np.zeros(n),
         x_true=x_true,
-        seed=seed,
     )
 
 
@@ -211,14 +208,12 @@ def gen_deblur(
     b = blur.apply(image.ravel()) + rng_noise.normal(0.0, noise_std, size=rows * cols)
     x1 = wave.adjoint(b)
     x_true = wave.adjoint(image.ravel())
-    op.reset_counters()
     return LeastSquaresProblem(
         op=op,
         b=b,
         regularizer=L1Regularizer(tau),
         x1=x1,
         x_true=x_true,
-        seed=seed,
     )
 
 
@@ -257,7 +252,6 @@ def gen_tv_phantom(
         regularizer=TVIsoRegularizer(tau, (rows, cols)),
         x1=x1,
         x_true=phantom.ravel(),
-        seed=seed,
     )
 
 

@@ -55,6 +55,12 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """The solver's settings: four fields a caller sets, the rest fixed.
@@ -87,8 +93,10 @@ class SolverConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
+            if f.type == "float":
+                check_real(f.name, value)
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite")
             optional_unset = f.type == "int | None" and value is None
             if f.type.startswith("int") and not optional_unset:
                 check_integer(f.name, value)
@@ -220,7 +228,7 @@ def bb_seed(s: np.ndarray, y: np.ndarray, cfg: SolverConfig) -> float:
 def cyclic_seed(
     k: int,
     cfg: SolverConfig,
-    stored: float,
+    stored: float | None,
     s: np.ndarray | None,
     y: np.ndarray | None,
     cycle_m: int,
@@ -229,14 +237,15 @@ def cyclic_seed(
 
     Recomputes the seed at iterations k = 1, 1+m, 1+2m, ... and returns
     the stored value elsewhere. At k = 1 there is no (s, y) history yet,
-    so the (clamped) first-iteration seed is used.
+    so the constant ``first_seed`` is used as is: it lies inside
+    [alpha_min, alpha_max], so no clamp applies.
     """
     if k < 1:
         raise ValueError("iteration index starts at 1")
     if (k - 1) % cycle_m != 0:
         return stored
     if s is None or y is None:
-        return min(max(cfg.first_seed, cfg.alpha_min), cfg.alpha_max)
+        return cfg.first_seed
     return bb_seed(s, y, cfg)
 
 
@@ -249,13 +258,15 @@ def gll_reference(history) -> float:
 
 def adaptive_reference(
     k: int,
-    objectives,
+    recent,
     phi_ref_prev: float | None,
     phi_max: float,
     cfg: SolverConfig,
 ) -> float:
     """Relaxed reference value with periodic and stall-triggered resets.
 
+    ``recent`` ends with phi(x_1), ..., phi(x_k), of which only the last
+    ``adapt_L + 1`` are read: the solver passes its ``memory_M`` window.
     At k = 1 the reference is phi(x_1). Afterwards it is the permissive
     max(previous reference, recent-max) except on reset iterations, where
     it drops to the recent-max ``phi_max``. Resets fire every ``adapt_L``
@@ -263,14 +274,14 @@ def adaptive_reference(
     iterations is below the relative stall threshold, so a reset occurs
     in every window of ``adapt_L`` consecutive iterations.
     """
+    current = float(recent[-1])
     if k == 1:
-        return float(objectives[0])
+        return current
     L = cfg.adapt_L
-    current = float(objectives[k - 1])
     reset = k % L == 0
     if not reset and k > L:
         delta = cfg.adapt_Delta * max(1.0, abs(current))
-        reset = float(objectives[k - L - 1]) - current <= delta
+        reset = float(recent[-L - 1]) - current <= delta
     if reset:
         return phi_max
     return max(phi_ref_prev, phi_max)
@@ -318,8 +329,8 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
     """Run the solver on ``problem`` until a stopping test fires.
 
     ``problem`` must provide ``f_value(x)``, ``f_grad(x)``, a
-    ``regularizer`` and a starting point ``x1``; a ``matvec_total``
-    attribute, when present, feeds the per-iteration cost column, counted
+    ``regularizer``, a starting point ``x1`` and a ``matvec_total``
+    attribute; the latter feeds the per-iteration cost column, counted
     from the start of this solve (the operator's earlier work excluded). The
     run is single-threaded, owns all mutable state, and is deterministic:
     identical inputs produce identical traces (wall times aside).
@@ -330,17 +341,16 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
     t0 = time.perf_counter()
-    matvecs0 = int(getattr(problem, "matvec_total", 0))
+    matvecs0 = problem.matvec_total
 
     obj = float(problem.f_value(x)) + reg.value(x)
     if not math.isfinite(obj):
         raise NonFiniteObjective("objective at the starting point is not finite")
     g = problem.f_grad(x)
 
-    objectives = [obj]
     window = deque([obj], maxlen=cfg.memory_M)
     cycle_m = cfg.effective_cycle_m(reg.tau)
-    stored_seed = min(max(cfg.first_seed, cfg.alpha_min), cfg.alpha_max)
+    stored_seed: float | None = None  # cyclic_seed sets it at k = 1
     phi_ref_prev: float | None = None
     s_prev = y_prev = None
     prox_state = reg.make_prox_state()
@@ -354,7 +364,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         if cfg.ref_policy == REF_GLL:
             phi_ref = phi_max
         else:
-            phi_ref = adaptive_reference(k, objectives, phi_ref_prev, phi_max, cfg)
+            phi_ref = adaptive_reference(k, window, phi_ref_prev, phi_max, cfg)
         phi_ref_prev = phi_ref
 
         z, obj_z, alpha, j = line_search_step(
@@ -362,7 +372,8 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         )
         diff = z - x
         step_norm = float(np.linalg.norm(diff))
-        step_inf = alpha * float(np.max(np.abs(diff)))
+        diff_inf = float(np.max(np.abs(diff)))
+        step_inf = alpha * diff_inf
         records.append(
             TraceRecord(
                 k=k,
@@ -373,12 +384,12 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
                 backtracks=j,
                 step_norm=step_norm,
                 step_inf=step_inf,
-                matvecs=int(getattr(problem, "matvec_total", 0)) - matvecs0,
+                matvecs=problem.matvec_total - matvecs0,
                 wall_time=time.perf_counter() - t0,
             )
         )
 
-        if np.array_equal(z, x):
+        if diff_inf == 0.0:
             status = STATUS_STATIONARY
             final_residual = 0.0
             break
@@ -387,7 +398,6 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         s_prev = diff
         y_prev = g_new - g
         x, g, obj = z, g_new, obj_z
-        objectives.append(obj)
         window.append(obj)
         final_residual = step_inf
         if step_inf <= cfg.eps:
@@ -397,7 +407,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
     summary = SolveSummary(
         status=status,
         iters=len(records),
-        matvecs=int(getattr(problem, "matvec_total", 0)) - matvecs0,
+        matvecs=problem.matvec_total - matvecs0,
         final_obj=obj,
         final_residual=final_residual,
         wall_time=time.perf_counter() - t0,

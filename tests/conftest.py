@@ -170,6 +170,28 @@ def running_window_max(values, M):
     return np.array(out)
 
 
+def adaptive_reference_oracle(objectives, L, Delta, M):
+    """The "adaptive" reference of every iteration, from the full objective history.
+
+    ``objectives[k - 1]`` is phi(x_k). Iteration 1 takes phi(x_1); iteration
+    k drops to the max of the last M objectives when k is a multiple of L,
+    or when k > L and phi(x_{k-L}) - phi(x_k) <= Delta * max(1, |phi(x_k)|),
+    and otherwise keeps the larger of that max and the previous reference.
+    """
+    refs = []
+    for k in range(1, len(objectives) + 1):
+        current = objectives[k - 1]
+        phi_max = max(objectives[max(0, k - M) : k])
+        if k == 1:
+            refs.append(current)
+            continue
+        reset = k % L == 0
+        if not reset and k > L:
+            reset = objectives[k - L - 1] - current <= Delta * max(1.0, abs(current))
+        refs.append(phi_max if reset else max(refs[-1], phi_max))
+    return refs
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -200,6 +200,14 @@ class TestBadInput:
              "mask_size must be an integer"),
             ("bench", {"generator": {**DEBLUR, "params": {**DEBLUR["params"], "levels": 1.5}}},
              None, "levels must be an integer"),
+            ("bench", {"generator": {**DEBLUR, "params": {**DEBLUR["params"], "mask_size": 32}}},
+             None, "mask_size must be in"),
+            ("bench", {"generator": BPDN, "variants": [{"name": "c", "continuation": "false"}]},
+             None, "continuation must be true or false"),
+            ("bench", {"generator": BPDN, "variants": [{"name": 5}]}, None,
+             "name must be a string"),
+            ("bench", {"generator": BPDN, "tolerances": [True]}, None,
+             "tolerances must be a number"),
         ],
         ids=[
             "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
@@ -207,6 +215,8 @@ class TestBadInput:
             "unknown-experiment-key", "invalid-experiment-value", "missing-generator",
             "bench-unknown-param", "bench-negative-tolerance", "fractional-seed",
             "bench-colliding-tolerances", "fractional-mask-size", "bench-fractional-levels",
+            "bench-mask-size-out-of-range", "bench-string-continuation", "bench-number-name",
+            "bench-bool-tolerance",
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):
@@ -241,6 +251,38 @@ class TestBadInput:
             main(argv)
         assert exc.value.code == 2
         assert needle in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["rates", "--burn-in", "-1"], "--burn-in"),
+            (["rates", "--burn-in", "TRACE_LENGTH"], "--burn-in"),
+            (["rates", "--phi-star", "1e9"], "--phi-star"),
+            (["curve", "--phi-star", "1e9"], "--phi-star"),
+        ],
+        ids=["negative-burn-in", "burn-in-past-trace", "rates-phi-star-too-high",
+             "curve-phi-star-too-high"],
+    )
+    def test_bad_option_value(self, tmp_path, capsys, argv, needle):
+        spec_path = tmp_path / "spec.json"
+        write_bpdn_spec(spec_path)
+        run = tmp_path / "run"
+        assert main(["solve", "--spec", str(spec_path), "--out", str(run)]) == 0
+        trace_path = run / "trace.csv"
+        length = len(Trace.read_csv(trace_path).records)
+        argv = [str(length) if arg == "TRACE_LENGTH" else arg for arg in argv]
+        if "--phi-star" not in argv:
+            argv += ["--phi-star", "0"]
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trace", str(trace_path), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert needle in last
+        assert ("burn_in" if needle == "--burn-in" else "phi_star") in last
+        assert not out.exists()
 
     def test_bad_eps_is_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

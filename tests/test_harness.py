@@ -192,6 +192,13 @@ class TestRunExperiment:
         assert "BacktrackLimitExceeded" in errors[0]["error"]
         assert [r.variant for r in rows] == ["gll"]
 
+    def test_nothing_written_when_the_generator_rejects_its_arguments(self, tmp_path):
+        generator = GeneratorSpec("deblur", {"rows": 16, "cols": 16, "mask_size": 32})
+        spec = replace(small_spec(), generator=generator)
+        with pytest.raises(ValueError, match="mask_size"):
+            run_experiment(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "empty", [{"repetitions": 0}, {"repetitions": -1}, {"tolerances": []}],
         ids=["no-repetitions", "negative-repetitions", "no-tolerances"],
@@ -259,6 +266,32 @@ class TestRunExperiment:
     def test_unknown_key_rejected(self, patch, key):
         with pytest.raises(TypeError, match=f"'{key}'"):
             ExperimentSpec.from_dict({**small_spec().to_dict(), **patch})
+
+    @pytest.mark.parametrize(
+        "variant, needle",
+        [
+            ({"name": "v", "continuation": "false"}, "continuation must be true or false"),
+            ({"name": "v", "continuation": 1}, "continuation must be true or false"),
+            ({"name": 5}, "name must be a string"),
+        ],
+        ids=["string-continuation", "int-continuation", "number-name"],
+    )
+    def test_variant_types_checked(self, variant, needle):
+        with pytest.raises(ValueError, match=needle):
+            Variant.from_dict(variant)
+        with pytest.raises(ValueError, match=needle):
+            ExperimentSpec.from_dict({**small_spec().to_dict(), "variants": [variant]})
+
+    @pytest.mark.parametrize("tolerance", [True, "1e-3", None], ids=["bool", "string", "null"])
+    def test_tolerance_must_be_a_number(self, tolerance):
+        with pytest.raises(ValueError, match="tolerances must be a number"):
+            ExperimentSpec.from_dict({**small_spec().to_dict(), "tolerances": [tolerance]})
+        with pytest.raises(ValueError, match="tolerances must be a number"):
+            replace(small_spec(), tolerances=[1e-3, tolerance])
+
+    def test_integer_tolerance_is_read_as_float(self):
+        spec = ExperimentSpec.from_dict({**small_spec().to_dict(), "tolerances": [1]})
+        assert spec.tolerances == [1.0] and isinstance(spec.tolerances[0], float)
 
     def test_missing_keys_take_defaults(self):
         spec = ExperimentSpec.from_dict({"generator": {"family": "bpdn"}, "variants": []})

@@ -93,6 +93,12 @@ def test_traced_counts_match_package_counters(tracer_cls, make):
         assert m["continuation.stages"] == len(result.stages) > 1
     if make is tv_phantom:
         assert m["regularizers.tv_inner_iters"] > 0
+    if make is deblur:  # one span per application: no operator span inside another
+        names = [span[0] for span in tracer.spans]
+        assert not any(
+            name.startswith("linops.") and parent >= 0 and names[parent].startswith("linops.")
+            for name, _start, _end, parent, _note in tracer.spans
+        )
 
 
 def test_uninstall_restores_every_patched_name(tracer_cls):

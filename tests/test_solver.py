@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sparsa.linops import IdentityOperator
-from sparsa.problems import LeastSquaresProblem, OracleProblem, gen_bpdn
+from sparsa.continuation import ContinuationSchedule, solve_with_continuation
+from sparsa.problems import LeastSquaresProblem, OracleProblem, gen_bpdn, gen_tv_phantom
 from sparsa.regularizers import GroupL2Regularizer, L1Regularizer, TVIsoRegularizer, ZeroRegularizer
 from sparsa.solver import (
     BacktrackLimitExceeded,
@@ -20,7 +21,7 @@ from sparsa.solver import (
     line_search_step,
     solve,
 )
-from conftest import running_window_max
+from conftest import adaptive_reference_oracle, running_window_max
 
 # Reference optimum for the 32x128 spike-recovery instance with seed 7,
 # computed by 10^6 iterations of fixed-step iterative shrinkage with step
@@ -120,6 +121,48 @@ class TestReferenceValues:
         cfg = SolverConfig(ref_policy="adaptive")
         objs = [9.0, 9.0 - 1e-9, 9.0 - 2e-9]  # decrease over the window below threshold
         assert adaptive_reference(3, objs, 9.8, 9.0 - 1e-9, cfg) == 9.0 - 1e-9
+
+
+class TestAdaptiveReferenceFromWindow:
+    """The solver keeps only the last ``memory_M`` objectives; the adaptive
+    reference must still equal the one computed from the full history."""
+
+    def test_window_holds_what_the_reference_reads(self):
+        cfg = SolverConfig()
+        assert cfg.memory_M >= cfg.adapt_L + 1
+
+    def test_first_seed_needs_no_clamp(self):
+        cfg = SolverConfig()
+        assert cfg.alpha_min <= cfg.first_seed <= cfg.alpha_max
+
+    @staticmethod
+    def assert_matches_oracle(records, cfg):
+        objs = [r.obj for r in records]
+        refs = [r.phi_ref for r in records]
+        assert refs == adaptive_reference_oracle(objs, cfg.adapt_L, cfg.adapt_Delta, cfg.memory_M)
+
+    def test_plain_bpdn(self):
+        cfg = SolverConfig(ref_policy="adaptive", eps=1e-7)
+        res = solve(gen_bpdn(k=32, n=128, spikes=10, seed=4, tau=1e-3), cfg)
+        assert len(res.trace.records) > cfg.memory_M
+        self.assert_matches_oracle(res.trace.records, cfg)
+
+    def test_each_continuation_stage(self):
+        cfg = SolverConfig(ref_policy="adaptive", eps=1e-6)
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=4, tau=1e-4)
+        res = solve_with_continuation(prob, ContinuationSchedule(tau_target=1e-4), cfg)
+        assert len(res.stages) > 1
+        start = 0
+        for stage in res.stages:
+            self.assert_matches_oracle(res.trace.records[start : start + stage["iters"]], cfg)
+            start += stage["iters"]
+        assert start == len(res.trace.records)
+
+    def test_tv_phantom(self):
+        cfg = SolverConfig(ref_policy="adaptive", eps=1e-5)
+        res = solve(gen_tv_phantom(rows=16, cols=16, seed=0, tau=0.01), cfg)
+        assert len(res.trace.records) > cfg.memory_M
+        self.assert_matches_oracle(res.trace.records, cfg)
 
 
 class TestLineSearch:
@@ -419,6 +462,11 @@ class TestConfigValidation:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [True, "1e-3", None], ids=["bool", "string", "null"])
+    def test_rejects_non_number_float_field(self, bad):
+        with pytest.raises(ValueError, match="eps must be a number"):
+            SolverConfig(eps=bad)
 
     @pytest.mark.parametrize("name", ["cycle_m", "max_iters"])
     def test_rejects_non_integral_int_field(self, name):
