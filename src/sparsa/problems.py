@@ -33,7 +33,7 @@ from .regularizers import (
     Regularizer,
     TVIsoRegularizer,
 )
-from .solver import check_integer
+from .solver import check_integer, check_real
 
 
 def _substreams(seed: int):
@@ -377,9 +377,10 @@ GENERATORS = {
 class GeneratorSpec:
     """(family, params, seed) description of a generated problem.
 
-    An unknown family, a param the family's generator does not take, or a
-    non-integer value for the seed or any other ``int`` parameter fails
-    here, before anything is generated.
+    An unknown family, a param the family's generator does not take, a
+    non-integer value for the seed or any other ``int`` parameter, or a
+    non-number for a ``float`` parameter fails here, before anything is
+    generated. A parameter annotated ``... | None`` also takes ``None``.
     """
 
     family: str
@@ -392,8 +393,13 @@ class GeneratorSpec:
         signature = inspect.signature(GENERATORS[self.family], eval_str=True)
         bound = signature.bind(seed=self.seed, **self.params)
         for name, value in bound.arguments.items():
-            if signature.parameters[name].annotation is int:
+            annotation = signature.parameters[name].annotation
+            if value is None and annotation in (int | None, float | None):
+                continue
+            if annotation in (int, int | None):
                 check_integer(name, value)
+            elif annotation in (float, float | None):
+                check_real(name, value)
 
     def make(self) -> LeastSquaresProblem:
         return GENERATORS[self.family](seed=self.seed, **self.params)

@@ -36,8 +36,8 @@ class Regularizer:
     regularizer's subdifferential; kinds without a closed form for it
     (tv-iso) inherit the base method, which raises. Instances are immutable
     and shareable across solves; any per-solve iteration state (the TV dual
-    field) lives in the object returned by :meth:`make_prox_state`, owned
-    by the caller.
+    field and inner budget) lives in the object returned by
+    :meth:`make_prox_state`, owned by the caller.
     """
 
     kind = "abstract"
@@ -53,7 +53,12 @@ class Regularizer:
         raise NotImplementedError
 
     def make_prox_state(self):
-        """Per-solve mutable state for iterative proxes (None if exact)."""
+        """Per-solve mutable state for iterative proxes (None if exact).
+
+        The solver passes it to every :meth:`prox` call of one solve and
+        reports each line search's backtrack count to its
+        ``note_backtracks`` method.
+        """
         return None
 
     def stationarity_residual(self, x, g) -> float:
@@ -316,12 +321,33 @@ def tv_prox(
 
 
 class TVProxState:
-    """Warm-start buffer for the TV dual field, owned by one solve."""
+    """Per-solve TV state: the warm-start dual field and the inner budget.
 
-    __slots__ = ("p",)
+    The budget (``max_iters``, ``tol``) starts at the regularizer's
+    ``inner_max_iters`` and ``inner_tol``. A line search that needed
+    ``GROW_AFTER`` or more backtracks is read as a sign that the inexact
+    prox, not the stepsize, holds the outer run back: the cap then grows by
+    ``GROW_FACTOR`` and the tolerance shrinks by ``TOL_SHRINK``, until the
+    cap reaches ``MAX_ITERS_CEILING``.
+    """
 
-    def __init__(self):
+    GROW_AFTER = 3
+    GROW_FACTOR = 2
+    TOL_SHRINK = 10.0
+    MAX_ITERS_CEILING = 640
+
+    __slots__ = ("p", "max_iters", "tol")
+
+    def __init__(self, max_iters: int, tol: float):
         self.p = None
+        self.max_iters = max_iters
+        self.tol = tol
+
+    def note_backtracks(self, backtracks: int) -> None:
+        """Tighten the budget after a line search with ``backtracks`` backtracks."""
+        if backtracks >= self.GROW_AFTER and self.max_iters < self.MAX_ITERS_CEILING:
+            self.max_iters = min(self.max_iters * self.GROW_FACTOR, self.MAX_ITERS_CEILING)
+            self.tol /= self.TOL_SHRINK
 
 
 class TVIsoRegularizer(Regularizer):
@@ -329,9 +355,12 @@ class TVIsoRegularizer(Regularizer):
 
     psi(x) = tau * sum_i sqrt((dx_i)^2 + (dy_i)^2) with forward
     differences and replicated far edges. The prox has no closed form and
-    is solved iteratively (see :func:`tv_prox`); the inner iteration cap
-    and exit tolerance are configurable, the dual step is ``tv_prox``'s
-    default.
+    is solved iteratively (see :func:`tv_prox`), with ``tv_prox``'s dual
+    step. ``inner_max_iters`` and ``inner_tol`` are the inner iteration cap
+    and exit tolerance of a prox call without state. Within a solve they
+    are only the starting budget: the solve's :class:`TVProxState` doubles
+    the cap and divides the tolerance by 10 after each line search with 3
+    or more backtracks, up to a cap of 640.
     """
 
     kind = "tv-iso"
@@ -340,7 +369,7 @@ class TVIsoRegularizer(Regularizer):
         self,
         tau: float,
         grid: tuple[int, int],
-        inner_max_iters: int = 40,
+        inner_max_iters: int = 20,
         inner_tol: float = 1e-5,
     ):
         super().__init__(tau)
@@ -363,22 +392,16 @@ class TVIsoRegularizer(Regularizer):
         return self.tau * tv_value_2d(x.reshape(self.grid))
 
     def make_prox_state(self):
-        return TVProxState()
+        return TVProxState(self.inner_max_iters, self.inner_tol)
 
     def prox(self, u, alpha, state=None):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         u = self._check_dim(u)
         weight = self.tau / (2.0 * alpha)
-        p0 = state.p if state is not None else None
-        z, p = tv_prox(
-            u.reshape(self.grid),
-            weight,
-            p0=p0,
-            max_iters=self.inner_max_iters,
-            tol=self.inner_tol,
+        if state is None:  # a call outside a solve: the constructor's budget, no warm start
+            state = self.make_prox_state()
+        z, state.p = tv_prox(
+            u.reshape(self.grid), weight, p0=state.p, max_iters=state.max_iters, tol=state.tol
         )
-        if state is not None:
-            state.p = p
         return z.ravel()
-

@@ -302,9 +302,10 @@ def line_search_step(
 ):
     """Backtracking on alpha = eta^j * seed until acceptance.
 
-    Requires phi_ref >= phi(x). Returns ``(x_next, obj_next, alpha, j)``
-    for the smallest j whose subproblem solution satisfies the
-    acceptance inequality.
+    Requires phi_ref >= phi(x). Returns ``(x_next, obj_next, alpha, j,
+    step, step_sq)`` for the smallest j whose subproblem solution satisfies
+    the acceptance inequality, where ``step = x_next - x`` and ``step_sq =
+    step . step``.
     """
     for j in range(cfg.max_backtracks + 1):
         alpha = alpha_seed * cfg.eta**j
@@ -318,7 +319,7 @@ def line_search_step(
         diff = z - x
         step_sq = float(diff @ diff)
         if obj_z <= phi_ref - cfg.sigma * alpha * step_sq:
-            return z, obj_z, alpha, j
+            return z, obj_z, alpha, j, diff, step_sq
     raise BacktrackLimitExceeded(
         f"no acceptable step within {cfg.max_backtracks} backtracks "
         f"(seed {alpha_seed:g}); f may be non-smooth or the prox broken"
@@ -367,11 +368,11 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
             phi_ref = adaptive_reference(k, window, phi_ref_prev, phi_max, cfg)
         phi_ref_prev = phi_ref
 
-        z, obj_z, alpha, j = line_search_step(
+        z, obj_z, alpha, j, diff, step_sq = line_search_step(
             x, g, phi_ref, stored_seed, problem.f_value, reg, cfg, prox_state
         )
-        diff = z - x
-        step_norm = float(np.linalg.norm(diff))
+        if prox_state is not None:
+            prox_state.note_backtracks(j)
         diff_inf = float(np.max(np.abs(diff)))
         step_inf = alpha * diff_inf
         records.append(
@@ -382,7 +383,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
                 alpha_seed=stored_seed,
                 alpha_accepted=alpha,
                 backtracks=j,
-                step_norm=step_norm,
+                step_norm=math.sqrt(step_sq),
                 step_inf=step_inf,
                 matvecs=problem.matvec_total - matvecs0,
                 wall_time=time.perf_counter() - t0,

@@ -208,6 +208,10 @@ class TestBadInput:
              "name must be a string"),
             ("bench", {"generator": BPDN, "tolerances": [True]}, None,
              "tolerances must be a number"),
+            ("solve", {**BPDN, "params": {**BPDN["params"], "tau": True}}, None,
+             "tau must be a number"),
+            ("bench", {"generator": {**BPDN, "params": {**BPDN["params"], "tau": "0.1"}}},
+             None, "tau must be a number"),
         ],
         ids=[
             "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
@@ -216,7 +220,7 @@ class TestBadInput:
             "bench-unknown-param", "bench-negative-tolerance", "fractional-seed",
             "bench-colliding-tolerances", "fractional-mask-size", "bench-fractional-levels",
             "bench-mask-size-out-of-range", "bench-string-continuation", "bench-number-name",
-            "bench-bool-tolerance",
+            "bench-bool-tolerance", "bool-tau", "bench-string-tau",
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):

@@ -260,6 +260,24 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="seed must be an integer"):
             GeneratorSpec.from_dict({"family": "bpdn", "seed": seed})
 
+    @pytest.mark.parametrize(
+        "family, params, name",
+        [
+            ("bpdn", {"tau": True}, "tau"),
+            ("bpdn", {"tau": "0.1"}, "tau"),
+            ("bpdn", {"noise_std": None}, "noise_std"),
+            ("deblur", {"noise_std": [0.1]}, "noise_std"),
+            ("tv-phantom", {"num_lines": 2.0}, "num_lines"),
+        ],
+    )
+    def test_non_number_param_rejected(self, family, params, name):
+        with pytest.raises(ValueError, match=f"{name} must be an? (integer|number)"):
+            GeneratorSpec(family, params)
+
+    def test_optional_params_take_none(self):
+        GeneratorSpec("bpdn", {"tau": None})
+        GeneratorSpec("tv-phantom", {"num_lines": None})
+
     def test_deblur_entry_keeps_gen_deblur_defaults(self):
         entry = inspect.signature(GENERATORS["deblur"]).parameters
         for name, param in inspect.signature(gen_deblur).parameters.items():

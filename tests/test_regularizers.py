@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsa import regularizers
 from sparsa.regularizers import (
     GroupL2Regularizer,
     L1Regularizer,
@@ -212,6 +213,44 @@ class TestProxProperties:
         u = rng.standard_normal(16)
         reg.prox(u, 1.0, state=state)
         assert state.p is not None and state.p.shape == (2, 4, 4)
+
+
+class TestTvInnerBudget:
+    def test_stateless_prox_uses_constructor_budget(self, rng, monkeypatch):
+        budgets = []
+
+        def recorder(*args, **kwargs):
+            budgets.append((kwargs["max_iters"], kwargs["tol"]))
+            return tv_prox(*args, **kwargs)
+
+        monkeypatch.setattr(regularizers, "tv_prox", recorder)
+        u = rng.standard_normal(16)
+        reg = TVIsoRegularizer(0.5, (4, 4))
+        reg.prox(u, 1.0)
+        reg.prox(u, 1.0)
+        TVIsoRegularizer(0.5, (4, 4), inner_max_iters=7, inner_tol=1e-3).prox(u, 1.0)
+        assert budgets == [(20, 1e-5), (20, 1e-5), (7, 1e-3)]
+
+    def test_state_starts_at_constructor_budget(self):
+        reg = TVIsoRegularizer(0.5, (4, 4), inner_max_iters=7, inner_tol=1e-3)
+        state = reg.make_prox_state()
+        assert (state.p, state.max_iters, state.tol) == (None, 7, 1e-3)
+
+    def test_budget_grows_after_three_backtracks_up_to_640(self):
+        state = TVIsoRegularizer(0.5, (4, 4)).make_prox_state()
+        budgets = []
+        for j in (0, 2, 3, 1, 5, 3, 3, 3, 3, 4):
+            state.note_backtracks(j)
+            budgets.append((state.max_iters, state.tol))
+        caps = [20, 20, 40, 40, 80, 160, 320, 640, 640, 640]
+        tols = [1e-5, 1e-5, 1e-6, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-10, 1e-10]
+        assert [cap for cap, _ in budgets] == caps
+        assert [tol for _, tol in budgets] == pytest.approx(tols, rel=1e-12)
+
+    def test_budget_above_ceiling_stays(self):
+        state = TVIsoRegularizer(0.5, (4, 4), inner_max_iters=1000).make_prox_state()
+        state.note_backtracks(9)
+        assert (state.max_iters, state.tol) == (1000, 1e-5)
 
 
 class TestTvProxAgainstPlainLoop:

@@ -1,9 +1,10 @@
 import math
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from sparsa import regularizers
 from sparsa.linops import IdentityOperator
 from sparsa.continuation import ContinuationSchedule, solve_with_continuation
 from sparsa.problems import LeastSquaresProblem, OracleProblem, gen_bpdn, gen_tv_phantom
@@ -171,7 +172,7 @@ class TestLineSearch:
         prob = quadratic_problem(center=1.0)
         x = np.array([0.0])
         g = np.array([-1.0])
-        z, obj, alpha, j = line_search_step(
+        z, obj, alpha, j, step, step_sq = line_search_step(
             x, g, phi_ref=0.5, alpha_seed=1.0, f_value=prob.f_value,
             reg=ZeroRegularizer(), cfg=cfg,
         )
@@ -179,6 +180,8 @@ class TestLineSearch:
         assert obj == pytest.approx(0.125)
         assert alpha == 1.0
         assert j == 0
+        assert np.array_equal(step, z - x)
+        assert step_sq == float(step @ step)
 
     def test_fixed_point_at_minimizer(self):
         cfg = SolverConfig()
@@ -189,7 +192,7 @@ class TestLineSearch:
             x1=np.array([0.0]),
         )
         x = np.array([0.0])
-        z, obj, alpha, j = line_search_step(
+        z, obj, alpha, j, _, _ = line_search_step(
             x, np.array([0.0]), phi_ref=0.0, alpha_seed=1.0,
             f_value=prob.f_value, reg=prob.regularizer, cfg=cfg,
         )
@@ -209,7 +212,7 @@ class TestLineSearch:
                 expected_j = j
                 break
 
-        z, obj, alpha, j = line_search_step(
+        z, obj, alpha, j, _, _ = line_search_step(
             np.array([x0]), np.array([g0]), phi_ref=phi0, alpha_seed=seed,
             f_value=lambda x: 0.5 * (10 * x[0]) ** 2, reg=ZeroRegularizer(), cfg=cfg,
         )
@@ -384,6 +387,59 @@ class TestSolve:
         assert first.trace.summary.matvecs == second.trace.summary.matvecs > 0
         assert second.trace.matvec_values().tolist() == first.trace.matvec_values().tolist()
         assert prob.matvec_total == 2 * first.trace.summary.matvecs
+
+
+# gll at eps 1e-6 on the 32x32 phantom, seed 3: with a fixed TV inner budget
+# of 40 dual steps at tol 1e-5 it ran 3,000 iterations (31,669 matvecs)
+# without converging; the growing budget converges in about 500.
+RUNAWAY_CFG = SolverConfig(ref_policy="gll-max", cycle_m=1, eps=1e-6, max_iters=1000)
+
+
+@pytest.fixture(scope="module")
+def runaway_solve():
+    """The runaway case, with the keywords of every ``tv_prox`` call it made."""
+    calls = []
+    tv_prox = regularizers.tv_prox
+
+    def recorder(*args, **kwargs):
+        calls.append({k: v for k, v in kwargs.items() if k in ("max_iters", "tol")})
+        return tv_prox(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularizers, "tv_prox", recorder)
+        result = solve(gen_tv_phantom(rows=32, cols=32, seed=3), RUNAWAY_CFG)
+    return result, calls
+
+
+class TestTvInnerBudget:
+    def test_runaway_phantom_converges(self, runaway_solve):
+        result, _ = runaway_solve
+        assert result.status == "converged"
+
+    def test_budget_reaches_tv_prox_as_keywords(self, runaway_solve):
+        # perfbench's tracer reads kwargs["max_iters"] to count capped calls
+        _, calls = runaway_solve
+        assert calls and all(set(c) == {"max_iters", "tol"} for c in calls)
+        budgets = [(c["max_iters"], c["tol"]) for c in calls]
+        assert budgets[0] == (20, 1e-5)
+        for (cap, tol), (next_cap, next_tol) in zip(budgets, budgets[1:]):
+            assert (next_cap, next_tol) in ((cap, tol), (2 * cap, tol / 10))
+        assert 20 < max(cap for cap, _ in budgets) <= 640
+
+    def test_budget_is_per_solve(self):
+        # one growth step in this run: a budget kept across solves would
+        # change the second trace
+        problem = gen_tv_phantom(rows=16, cols=16, seed=1)
+        cfg = SolverConfig(ref_policy="gll-max", cycle_m=1, eps=1e-6)
+        first, second = solve(problem, cfg), solve(problem, cfg)
+        assert any(r.backtracks >= 3 for r in first.trace.records)
+        assert len(first.trace.records) == len(second.trace.records)
+        for a, b in zip(first.trace.records, second.trace.records):
+            assert replace(a, wall_time=0.0) == replace(b, wall_time=0.0)
+        assert replace(first.trace.summary, wall_time=0.0) == replace(
+            second.trace.summary, wall_time=0.0
+        )
+        assert np.array_equal(first.x, second.x)
 
 
 class TestStationarityResidual:
