@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .solver import check_integer, check_real
+
 
 class UnsupportedRegularizer(ValueError):
     """Raised when an operation has no closed form for this regularizer."""
@@ -199,42 +201,80 @@ class GroupL2Regularizer(Regularizer):
 # -- isotropic total variation -----------------------------------------------
 
 
+def _check_c_contiguous(name: str, buf: np.ndarray) -> np.ndarray:
+    # the kernels below write through flat views, which a non-contiguous
+    # buffer would silently turn into copies
+    if not buf.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+    return buf
+
+
 def tv_gradient(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference image gradient ``(gx, gy)``; zero at the far column/row.
 
     The two planes are stacked in one ``(2, rows, cols)`` array; with
-    ``out`` they are written into that array instead of a fresh one.
+    ``out`` (C-contiguous) they are written into that array instead of a
+    fresh one. The column differences are one subtraction over the
+    flattened image: the entries that wrap from one row into the next land
+    in the far column, which is then zeroed.
     """
-    g = np.empty((2,) + z.shape, dtype=z.dtype) if out is None else out
-    np.subtract(z[:, 1:], z[:, :-1], out=g[0, :, :-1])
+    z = np.ascontiguousarray(z)
+    g = np.empty((2,) + z.shape, dtype=z.dtype) if out is None else _check_c_contiguous("out", out)
+    flat = z.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=g[0].reshape(-1)[:-1])
     g[0, :, -1] = 0.0
-    np.subtract(z[1:, :], z[:-1, :], out=g[1, :-1, :])
-    g[1, -1, :] = 0.0
+    np.subtract(z[1:], z[:-1], out=g[1, :-1])
+    g[1, -1] = 0.0
     return g
 
 
-def tv_divergence(px: np.ndarray, py: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def tv_divergence(
+    px: np.ndarray, py: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """Negative adjoint of :func:`tv_gradient` (<grad z, p> = -<z, div p>).
 
-    With ``out`` the divergence is written into that array (same shape as
-    ``px``) instead of a fresh one; the arithmetic is the same either way.
+    With ``out`` the divergence is written into that array, and with
+    ``work`` the y part is built in that plane (both C-contiguous, shaped
+    like ``px``), instead of fresh ones; the arithmetic is the same either
+    way. It is ``(0 + x_part) + y_part`` in that order, so even the sign of
+    a zero is that of the two parts accumulated into a zeroed array.
     """
-    div = np.empty_like(px) if out is None else out
-    div.fill(0.0)
-    if px.shape[1] > 1:
-        div[:, 0] += px[:, 0]
-        div[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
-        div[:, -1] += -px[:, -2]
-    if py.shape[0] > 1:
-        div[0, :] += py[0, :]
-        div[1:-1, :] += py[1:-1, :] - py[:-2, :]
-        div[-1, :] += -py[-2, :]
+    px = np.ascontiguousarray(px)
+    py = np.ascontiguousarray(py)
+    rows, cols = px.shape
+    div = np.empty_like(px) if out is None else _check_c_contiguous("out", out)
+    if cols > 1:
+        # one subtraction over the flattened plane; the first and last
+        # columns, where it wraps across rows, are then set explicitly
+        flat = px.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=div.reshape(-1)[1:])
+        div[:, 0] = px[:, 0]
+        # not np.negative(..., out=div[:, -1]): numpy 2.4.6 misreads an
+        # input with a stride of 8 doubles when the output is strided too
+        div[:, -1] = -px[:, -2]
+        div += 0.0  # 0 + x_part: a -0.0 becomes +0.0
+    else:
+        div.fill(0.0)
+    if rows > 1:
+        w = np.empty_like(py) if work is None else _check_c_contiguous("work", work)
+        w[0] = py[0]
+        np.subtract(py[1:-1], py[:-2], out=w[1:-1])
+        w[-1] = -py[-2]
+        div += w
     return div
 
 
-def tv_value_2d(z: np.ndarray) -> float:
-    gx, gy = tv_gradient(z)
-    return float(np.sum(np.sqrt(gx**2 + gy**2)))
+def tv_value_2d(z: np.ndarray, work: np.ndarray | None = None) -> float:
+    """Isotropic TV of the image ``z``: the sum of per-pixel gradient norms.
+
+    ``work`` is an optional C-contiguous ``(2, rows, cols)`` buffer that
+    holds the gradient and its squares instead of a fresh one.
+    """
+    g = tv_gradient(np.asarray(z, dtype=float), out=work)
+    np.multiply(g, g, out=g)
+    np.add(g[0], g[1], out=g[0])
+    np.sqrt(g[0], out=g[0])
+    return float(np.sum(g[0]))
 
 
 def tv_prox(
@@ -261,28 +301,31 @@ def tv_prox(
     q_y^2))`` under round-to-nearest, so ``max(1, max|p|)`` would be 1.
 
     The working arrays are allocated once per call and updated in place:
-    the dual step ``q`` (both planes in one array, swapped with ``p`` after
-    each iteration), one buffer that holds ``q^2`` and then ``|q - p|`` for
-    both planes, the per-pixel norm, the divergence and ``z``. Non-finite
-    values raise :class:`FloatingPointError`: ``z`` is checked before and
-    after the loop, and a non-finite ``z`` inside it makes the next dual
-    change NaN.
+    the dual field ``p`` and the dual step ``q`` (both planes in one array
+    each, swapped after every iteration), the per-pixel ``norm``, the
+    divergence ``div`` and ``z``. After the swap the old dual field is dead,
+    so ``|q - p|`` is computed into it, and it then serves as the
+    divergence's work plane; ``div`` holds ``q_y^2`` while the norm is
+    built, and the fallback check below reuses ``div`` and ``q``.
+    Non-finite values raise :class:`FloatingPointError`: ``z`` is checked
+    before and after the loop, and a non-finite ``z`` inside it makes the
+    next dual change NaN.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.ascontiguousarray(u, dtype=float)
     if weight < 0:
         raise ValueError("weight must be nonnegative")
     if weight == 0.0:
         return u.copy(), np.zeros((2,) + u.shape)
     p = np.zeros((2,) + u.shape) if p0 is None else np.array(p0, dtype=float)
     q = np.empty_like(p)
-    diff = np.empty_like(p)
     norm = np.empty_like(u)
     div = np.empty_like(u)
     z = np.empty_like(u)
     scale = step / weight
 
     def update_z():
-        np.multiply(tv_divergence(p[0], p[1], out=div), weight, out=div)
+        # q is dead here: its first plane is the divergence's work plane
+        np.multiply(tv_divergence(p[0], p[1], out=div, work=q[0]), weight, out=div)
         np.add(u, div, out=z)
 
     update_z()
@@ -295,17 +338,18 @@ def tv_prox(
         tv_gradient(z, out=q)
         q *= scale
         q += p
-        np.multiply(q, q, out=diff)
-        np.add(diff[0], diff[1], out=norm)
+        np.multiply(q[0], q[0], out=norm)
+        np.multiply(q[1], q[1], out=div)
+        norm += div
         np.sqrt(norm, out=norm)
         np.maximum(norm, 1.0, out=norm)
         q /= norm
-        np.subtract(q, p, out=diff)
-        np.abs(diff, out=diff)
-        change = float(diff.max())
+        p, q = q, p
+        np.subtract(p, q, out=q)
+        np.abs(q, out=q)
+        change = float(q.max())
         if math.isnan(change):
             raise FloatingPointError("TV inner solver produced non-finite values")
-        p, q = q, p
         update_z()
         if change <= tol:
             break
@@ -314,8 +358,10 @@ def tv_prox(
     if dual_history is not None:
         dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
     # inexact inner solves must never move above the trivial feasible point
-    obj_z = 0.5 * float(np.sum((z - u) ** 2)) + weight * tv_value_2d(z)
-    if obj_z > weight * tv_value_2d(u):
+    np.subtract(z, u, out=div)
+    np.multiply(div, div, out=div)
+    obj_z = 0.5 * float(np.sum(div)) + weight * tv_value_2d(z, work=q)
+    if obj_z > weight * tv_value_2d(u, work=q):
         return u.copy(), np.zeros((2,) + u.shape)
     return z, p
 
@@ -374,8 +420,16 @@ class TVIsoRegularizer(Regularizer):
     ):
         super().__init__(tau)
         rows, cols = grid
+        check_integer("grid rows", rows)
+        check_integer("grid cols", cols)
         if rows < 1 or cols < 1:
             raise ValueError("grid dims must be positive")
+        check_integer("inner_max_iters", inner_max_iters)
+        if inner_max_iters < 1:
+            raise ValueError(f"inner_max_iters must be at least 1, got {inner_max_iters!r}")
+        check_real("inner_tol", inner_tol)
+        if not (math.isfinite(inner_tol) and inner_tol >= 0):
+            raise ValueError(f"inner_tol must be nonnegative and finite, got {inner_tol!r}")
         self.grid = (int(rows), int(cols))
         self.inner_max_iters = int(inner_max_iters)
         self.inner_tol = float(inner_tol)

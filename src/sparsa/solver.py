@@ -26,12 +26,14 @@ import numbers
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from . import arrayio
-from .regularizers import Regularizer
+
+if TYPE_CHECKING:  # regularizers imports this module's checks
+    from .regularizers import Regularizer
 
 STATUS_CONVERGED = "converged"
 STATUS_STATIONARY = "stationary"

@@ -6,6 +6,7 @@ attributes as ``perfbench/run.py`` calls them, so a refactor that moves one
 of the patched names breaks here rather than in a benchmark run.
 """
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -78,9 +79,20 @@ def deblur():
 @pytest.mark.parametrize(
     "make", [bpdn, bpdn_continuation, tv_phantom, deblur], ids=lambda f: f.__name__
 )
-def test_traced_counts_match_package_counters(tracer_cls, make):
+def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
     problem, run = make()
     op = problem.op
+    inner_steps = []  # dual steps per tv_prox call, from its own dual history
+    untraced_tv_prox = regularizers.tv_prox
+
+    @functools.wraps(untraced_tv_prox)
+    def tv_prox_with_history(*args, **kwargs):
+        history = []
+        out = untraced_tv_prox(*args, dual_history=history, **kwargs)
+        inner_steps.append(len(history) - 1)
+        return out
+
+    monkeypatch.setattr(regularizers, "tv_prox", tv_prox_with_history)
     before = op.forward_count + op.adjoint_count
     with tracer_cls() as tracer:
         result = run()
@@ -91,8 +103,9 @@ def test_traced_counts_match_package_counters(tracer_cls, make):
     assert m["solver.iterations"] == len(result.trace.records) > 0
     if hasattr(result, "stages"):
         assert m["continuation.stages"] == len(result.stages) > 1
-    if make is tv_phantom:
-        assert m["regularizers.tv_inner_iters"] > 0
+    # the tracer counts tv_divergence calls: one per dual step plus one per call
+    assert m["regularizers.tv_inner_iters"] == sum(inner_steps)
+    assert (sum(inner_steps) > 0) == (make is tv_phantom)
     if make is deblur:  # one span per application: no operator span inside another
         names = [span[0] for span in tracer.spans]
         assert not any(

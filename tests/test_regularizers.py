@@ -14,7 +14,14 @@ from sparsa.regularizers import (
     tv_prox,
     tv_value_2d,
 )
-from conftest import golden_min, tv_objective, tv_prox_dual_oracle, tv_prox_plain_loop
+from conftest import (
+    _tv_divergence,
+    _tv_gradient,
+    golden_min,
+    tv_objective,
+    tv_prox_dual_oracle,
+    tv_prox_plain_loop,
+)
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -254,7 +261,9 @@ class TestTvInnerBudget:
 
 
 class TestTvProxAgainstPlainLoop:
-    @pytest.mark.parametrize("shape", [(12, 9), (1, 6), (6, 1), (1, 1)])
+    # 8 columns: a column slice has a stride of 8 doubles, which numpy
+    # 2.4.6's np.negative misreads when its output is strided too
+    @pytest.mark.parametrize("shape", [(12, 9), (1, 6), (6, 1), (1, 1), (8, 8), (9, 8), (8, 9)])
     @pytest.mark.parametrize("with_history", [False, True])
     def test_warm_started_calls_bitwise_equal(self, rng, shape, with_history):
         u = rng.standard_normal(shape)
@@ -272,6 +281,33 @@ class TestTvProxAgainstPlainLoop:
             assert z_new.tobytes() == z_old.tobytes()
             assert p_new.tobytes() == p_old.tobytes()
             assert hist_new == hist_old
+
+    def test_signed_zeros_in_warm_start_and_input_bitwise_equal(self, rng):
+        u = rng.standard_normal((8, 8))
+        u[::2, 1::3] = -0.0
+        u[-1, -1] = -0.0
+        p0 = rng.standard_normal((2, 8, 8)) * 0.1
+        p0[0, 1::2] = -0.0
+        p0[1, :, ::3] = -0.0
+        # both parts of the divergence are -0.0 at the far corner, where
+        # u + weight * ((0 + x) + y) keeps u's -0.0 only if the sum is -0.0
+        p0[0, -1, -2] = 0.0
+        p0[1, -2, -1] = 0.0
+        for max_iters in (0, 1, 3, 40):
+            hist_new: list = []
+            hist_old: list = []
+            z_new, p_new = tv_prox(u, 0.3, p0=p0, max_iters=max_iters, dual_history=hist_new)
+            z_old, p_old = tv_prox_plain_loop(u, 0.3, p0=p0, max_iters=max_iters, dual_history=hist_old)
+            assert z_new.tobytes() == z_old.tobytes()
+            assert p_new.tobytes() == p_old.tobytes()
+            assert hist_new == hist_old
+
+    def test_non_contiguous_input_bitwise_equal(self, rng):
+        for u in (rng.standard_normal((9, 8)).T, rng.standard_normal((8, 18))[:, ::2]):
+            z_new, p_new = tv_prox(u, 0.3)
+            z_old, p_old = tv_prox_plain_loop(u, 0.3)
+            assert z_new.tobytes() == z_old.tobytes()
+            assert p_new.tobytes() == p_old.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, rng, bad):
@@ -310,6 +346,47 @@ class TestTvOperators:
         assert div is out
         assert div.tobytes() == tv_divergence(px, py).tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (8, 8), (9, 8)])
+    @pytest.mark.parametrize("view", ["contiguous", "transposed", "every-other-column"])
+    @pytest.mark.parametrize("buffers", [False, True])
+    def test_kernels_match_reference_bytewise(self, rng, shape, view, buffers):
+        def make():
+            a = rng.standard_normal(shape)
+            # signed zeros side by side: x - y and x + y then give -0.0
+            # too, which must come out as the reference has it
+            a.flat[::3] = 0.0
+            a.flat[1::3] = -0.0
+            if view == "transposed":
+                return np.ascontiguousarray(a.T).T
+            if view == "every-other-column":
+                return np.repeat(a, 2, axis=1)[:, ::2]
+            return a
+
+        z, px, py = make(), make(), make()
+        assert view == "contiguous" or min(shape) == 1 or not z.flags.c_contiguous
+
+        def buf(shp):  # stale contents must not leak through
+            return np.full(shp, np.nan) if buffers else None
+
+        g = tv_gradient(z, out=buf((2,) + shape))
+        gx, gy = _tv_gradient(z)
+        assert g.tobytes() == np.stack([gx, gy]).tobytes()
+        div = tv_divergence(px, py, out=buf(shape), work=buf(shape))
+        assert div.tobytes() == _tv_divergence(px, py).tobytes()
+        value = tv_value_2d(z, work=buf((2,) + shape))
+        # summed in row-major order whatever the input's layout
+        norms = np.ascontiguousarray(np.sqrt(gx**2 + gy**2))
+        assert np.float64(value).tobytes() == np.sum(norms).tobytes()
+
+    def test_non_contiguous_buffers_rejected(self):
+        z = np.ones((4, 6))
+        with pytest.raises(ValueError, match="contiguous"):
+            tv_gradient(z, out=np.empty((2, 4, 12))[:, :, ::2])
+        with pytest.raises(ValueError, match="contiguous"):
+            tv_divergence(z, z, out=np.empty((6, 4)).T)
+        with pytest.raises(ValueError, match="contiguous"):
+            tv_divergence(z, z, work=np.empty((6, 4)).T)
+
     def test_gradient_divergence_adjoint_identity(self, rng):
         z = rng.standard_normal((5, 7))
         px = rng.standard_normal((5, 7))
@@ -336,6 +413,33 @@ class TestConstructionAndSerialization:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             L1Regularizer(-0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"inner_tol": float("nan")}, "inner_tol"),
+            ({"inner_tol": -1.0}, "inner_tol"),
+            ({"inner_tol": float("inf")}, "inner_tol"),
+            ({"inner_tol": "1e-5"}, "inner_tol"),
+            ({"inner_max_iters": -5}, "inner_max_iters"),
+            ({"inner_max_iters": 0}, "inner_max_iters"),
+            ({"inner_max_iters": True}, "inner_max_iters"),
+            ({"inner_max_iters": 2.7}, "inner_max_iters"),
+            ({"grid": (2.5, 4)}, "grid"),
+            ({"grid": (4, 2.0)}, "grid"),
+            ({"grid": (0, 4)}, "grid"),
+        ],
+        ids=repr,
+    )
+    def test_bad_tv_settings_rejected(self, kwargs, match):
+        settings = {"tau": 0.5, "grid": (4, 4), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            TVIsoRegularizer(**settings)
+
+    def test_tv_settings_accept_numpy_scalars(self):
+        reg = TVIsoRegularizer(0.5, (np.int64(3), 4), inner_max_iters=np.int32(7), inner_tol=0)
+        assert (reg.grid, reg.inner_max_iters, reg.inner_tol) == ((3, 4), 7, 0.0)
+        assert type(reg.grid[0]) is int and type(reg.inner_max_iters) is int
 
 
 KINDS = {
