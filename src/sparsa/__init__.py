@@ -26,7 +26,6 @@ from .linops import (
     ComposedOperator,
     DenseOperator,
     HaarSynthesis2D,
-    IdentityOperator,
     LinearOperator,
     PartialFourier2D,
     haar_analysis_2d,
@@ -49,7 +48,6 @@ from .regularizers import (
     L1Regularizer,
     Regularizer,
     TVIsoRegularizer,
-    UnsupportedRegularizer,
     ZeroRegularizer,
     soft_threshold,
     tv_prox,

@@ -161,6 +161,10 @@ def main(argv=None) -> int:
     if args.command in ("solve", "bench") and not args.print_config:
         if not args.spec or not args.out:
             parser.error(f"{args.command} requires --spec and --out (or --print-config)")
+        out = Path(args.out)
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            parser.error(f"--out: {nearest} exists and is not a directory")
     try:
         return args.func(args)
     except BadInput as exc:

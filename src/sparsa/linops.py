@@ -74,19 +74,6 @@ class LinearOperator:
         raise NotImplementedError
 
 
-class IdentityOperator(LinearOperator):
-    kind = "identity"
-
-    def __init__(self, n: int):
-        super().__init__(n, n)
-
-    def _apply(self, x):
-        return x.copy()
-
-    def _adjoint(self, y):
-        return y.copy()
-
-
 class DenseOperator(LinearOperator):
     """Explicit matrix operator."""
 

@@ -72,9 +72,6 @@ class LeastSquaresProblem:
         r = self.op.apply(x) - self.b
         return self.op.adjoint(r)
 
-    def objective(self, x) -> float:
-        return self.f_value(x) + self.regularizer.value(x)
-
     @property
     def matvec_total(self) -> int:
         return self.op.matvec_total

@@ -23,21 +23,17 @@ import numpy as np
 from .solver import check_integer, check_real
 
 
-class UnsupportedRegularizer(ValueError):
-    """Raised when an operation has no closed form for this regularizer."""
-
-
 def soft_threshold(u: np.ndarray, t: float) -> np.ndarray:
     return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
 
 
 class Regularizer:
-    """Base class: value, scaled prox, and the stationarity residual.
+    """Base class: the value psi(x) and the scaled proximal map.
 
-    :meth:`stationarity_residual` is the one place that knows the
-    regularizer's subdifferential; kinds without a closed form for it
-    (tv-iso) inherit the base method, which raises. Instances are immutable
-    and shareable across solves; any per-solve iteration state (the TV dual
+    No kind states its subdifferential: the solver certifies stationarity
+    from the prox's optimality condition at its last step, which holds for
+    every kind (see :mod:`sparsa.solver`). Instances are immutable and
+    shareable across solves; any per-solve iteration state (the TV dual
     field and inner budget) lives in the object returned by
     :meth:`make_prox_state`, owned by the caller.
     """
@@ -63,16 +59,6 @@ class Regularizer:
         """
         return None
 
-    def stationarity_residual(self, x, g) -> float:
-        """Max-norm distance from ``-g`` to the subdifferential of psi at ``x``.
-
-        With ``g = grad f(x)`` this is zero exactly at stationary points of
-        ``f + psi``.
-        """
-        raise UnsupportedRegularizer(
-            f"no closed-form stationarity test for kind {self.kind!r}"
-        )
-
     def with_tau(self, tau: float) -> "Regularizer":
         """Copy of this regularizer with a different weight.
 
@@ -86,13 +72,6 @@ class Regularizer:
 
     def _check_dim(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
-
-    def _check_pair(self, x, g):
-        x = self._check_dim(x)
-        g = self._check_dim(g)
-        if x.shape != g.shape:
-            raise ValueError("x and g must have the same length")
-        return x, g
 
 
 def _check_tau(tau) -> float:
@@ -114,10 +93,6 @@ class ZeroRegularizer(Regularizer):
     def prox(self, u, alpha, state=None):
         return np.array(u, dtype=float)
 
-    def stationarity_residual(self, x, g) -> float:
-        _, g = self._check_pair(x, g)
-        return float(np.max(np.abs(g))) if g.size else 0.0
-
 
 class L1Regularizer(Regularizer):
     """psi(x) = tau * ||x||_1; prox is soft-thresholding at tau/(2 alpha)."""
@@ -131,15 +106,6 @@ class L1Regularizer(Regularizer):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         return soft_threshold(self._check_dim(u), self.tau / (2.0 * alpha))
-
-    def stationarity_residual(self, x, g) -> float:
-        x, g = self._check_pair(x, g)
-        res = np.where(
-            x != 0,
-            np.abs(g + self.tau * np.sign(x)),
-            np.maximum(np.abs(g) - self.tau, 0.0),
-        )
-        return float(np.max(res)) if res.size else 0.0
 
 
 class GroupL2Regularizer(Regularizer):
@@ -183,19 +149,6 @@ class GroupL2Regularizer(Regularizer):
             scale = 0.0 if nrm <= t else 1.0 - t / nrm
             z[g] = scale * block
         return z
-
-    def stationarity_residual(self, x, g) -> float:
-        x, g = self._check_pair(x, g)
-        worst = 0.0
-        for grp in self.groups:
-            xb, gb = x[grp], g[grp]
-            nrm = np.linalg.norm(xb)
-            if nrm > 0:
-                r = float(np.max(np.abs(gb + self.tau * xb / nrm)))
-            else:
-                r = max(float(np.linalg.norm(gb)) - self.tau, 0.0)
-            worst = max(worst, r)
-        return worst
 
 
 # -- isotropic total variation -----------------------------------------------

@@ -5,6 +5,57 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sparsa.linops import LinearOperator
+
+
+class IdentityOperator(LinearOperator):
+    """Test double: the identity map on R^n, counted like any operator."""
+
+    kind = "identity"
+
+    def __init__(self, n: int):
+        super().__init__(n, n)
+
+    def _apply(self, x):
+        return x.copy()
+
+    def _adjoint(self, y):
+        return y.copy()
+
+
+def stationarity_residual(reg, x, g) -> float:
+    """Max-norm distance from ``-g`` to the subdifferential of ``reg`` at ``x``.
+
+    The closed forms for the zero, l1 and group-l2 kinds; with ``g = grad
+    f(x)`` this is zero exactly at stationary points of ``f + psi``. Other
+    kinds have none and raise ``ValueError``.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if x.shape != g.shape:
+        raise ValueError("x and g must have the same length")
+    if reg.kind == "zero":
+        return float(np.max(np.abs(g))) if g.size else 0.0
+    if reg.kind == "l1":
+        res = np.where(
+            x != 0,
+            np.abs(g + reg.tau * np.sign(x)),
+            np.maximum(np.abs(g) - reg.tau, 0.0),
+        )
+        return float(np.max(res)) if res.size else 0.0
+    if reg.kind == "group-l2":
+        worst = 0.0
+        for grp in reg.groups:
+            xb, gb = x[grp], g[grp]
+            nrm = np.linalg.norm(xb)
+            if nrm > 0:
+                r = float(np.max(np.abs(gb + reg.tau * xb / nrm)))
+            else:
+                r = max(float(np.linalg.norm(gb)) - reg.tau, 0.0)
+            worst = max(worst, r)
+        return worst
+    raise ValueError(f"no closed-form stationarity residual for kind {reg.kind!r}")
+
 
 def golden_min(f, lo, hi, tol=1e-14):
     """Golden-section minimizer in extended precision.

@@ -20,6 +20,7 @@ from sparsa.harness import (
 )
 from sparsa.problems import GeneratorSpec
 from sparsa.solver import SolverConfig, Trace, TraceRecord
+from conftest import stationarity_residual
 
 
 def write_bpdn_spec(path, seed=0):
@@ -52,7 +53,11 @@ class TestSolve:
         cfg_path.write_text(json.dumps({"ref_policy": "adaptive", "eps": 1e-4}))
         out = tmp_path / "run"
         main(["solve", "--spec", str(spec_path), "--config", str(cfg_path), "--out", str(out)])
-        assert json.loads((out / "summary.json").read_text())["final_residual"] <= 1e-4
+        assert Trace.read_csv(out / "trace.csv").records[-1].step_inf <= 1e-4  # the stop rule
+        problem = GeneratorSpec.from_dict(json.loads(spec_path.read_text())).make()
+        x = arrayio.read_raw(out / "x.raw")
+        oracle = stationarity_residual(problem.regularizer, x, problem.f_grad(x))
+        assert oracle <= json.loads((out / "summary.json").read_text())["final_residual"] + 1e-14
 
     def test_removed_config_key_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -287,6 +292,24 @@ class TestBadInput:
         assert needle in last
         assert ("burn_in" if needle == "--burn-in" else "phi_star") in last
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "path-below-file"])
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_out_names_existing_file(self, tmp_path, capsys, monkeypatch, command, below):
+        # rejected before any problem is generated, let alone solved
+        monkeypatch.setattr(GeneratorSpec, "make", lambda self: pytest.fail("generated"))
+        spec_path = tmp_path / "spec.json"
+        spec = BPDN if command == "solve" else {"generator": BPDN}
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        out.write_text("keep me")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", str(spec_path), "--out", str(out / "run" if below else out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"--out: {out} exists and is not a directory" in err.splitlines()[-1]
+        assert out.read_text() == "keep me"
 
     def test_bad_eps_is_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

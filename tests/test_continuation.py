@@ -6,6 +6,7 @@ from sparsa.continuation import ContinuationSchedule, solve_with_continuation
 from sparsa.problems import OracleProblem, gen_bpdn
 from sparsa.regularizers import L1Regularizer, soft_threshold
 from sparsa.solver import SolverConfig, solve
+from conftest import stationarity_residual
 
 
 class TestSchedule:
@@ -172,4 +173,6 @@ class TestSolveWithContinuation:
             prob, ContinuationSchedule(tau_target=5e-4), SolverConfig(eps=1e-6)
         )
         assert res.status == "converged"
-        assert res.trace.summary.final_residual <= 1e-6
+        assert res.trace.records[-1].step_inf <= 1e-6  # the stop rule
+        oracle = stationarity_residual(prob.regularizer, res.x, prob.f_grad(res.x))
+        assert oracle <= res.trace.summary.final_residual + 1e-14

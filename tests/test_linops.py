@@ -7,7 +7,6 @@ from sparsa.linops import (
     ComposedOperator,
     DenseOperator,
     HaarSynthesis2D,
-    IdentityOperator,
     PartialFourier2D,
     haar_analysis_2d,
     haar_synthesis_2d,
@@ -17,7 +16,6 @@ from sparsa.linops import (
 def all_concrete_ops(rng):
     return [
         DenseOperator(rng.standard_normal((5, 9))),
-        IdentityOperator(7),
         PartialFourier2D(8, 8, rng.random((8, 8)) < 0.4),
         Blur2D(8, 8, 3),
         Blur2D(8, 8, 4),  # even kernel exercises the centering convention
@@ -28,17 +26,9 @@ def all_concrete_ops(rng):
 
 
 class TestApplyAdjointBasics:
-    def test_identity_apply(self):
-        op = IdentityOperator(3)
-        assert np.array_equal(op.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
     def test_dense_apply(self):
         op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])
         assert np.allclose(op.apply([1.0, 1.0]), [3.0, 7.0])
-
-    def test_identity_adjoint(self):
-        op = IdentityOperator(1)
-        assert np.array_equal(op.adjoint([5.0]), [5.0])
 
     def test_dense_adjoint(self):
         op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from sparsa.linops import IdentityOperator
 from sparsa.problems import (
     GENERATORS,
     GeneratorSpec,
@@ -19,7 +18,7 @@ from sparsa.problems import (
 from sparsa.problems import test_pattern as make_test_pattern
 from sparsa.regularizers import L1Regularizer
 from sparsa.solver import SolverConfig, solve
-from conftest import finite_difference_gradient
+from conftest import IdentityOperator, finite_difference_gradient
 
 
 class TestOracles:

@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 from sparsa import regularizers
-from sparsa.linops import IdentityOperator
 from sparsa.continuation import ContinuationSchedule, solve_with_continuation
-from sparsa.problems import LeastSquaresProblem, OracleProblem, gen_bpdn, gen_tv_phantom
-from sparsa.regularizers import GroupL2Regularizer, L1Regularizer, TVIsoRegularizer, ZeroRegularizer
+from sparsa.problems import (
+    LeastSquaresProblem,
+    OracleProblem,
+    gen_bpdn,
+    gen_deblur,
+    gen_tv_phantom,
+)
+from sparsa.problems import test_pattern as make_test_pattern
+from sparsa.regularizers import GroupL2Regularizer, L1Regularizer, ZeroRegularizer
 from sparsa.solver import (
     BacktrackLimitExceeded,
     NonFiniteObjective,
@@ -22,7 +28,12 @@ from sparsa.solver import (
     line_search_step,
     solve,
 )
-from conftest import adaptive_reference_oracle, running_window_max
+from conftest import (
+    IdentityOperator,
+    adaptive_reference_oracle,
+    running_window_max,
+    stationarity_residual,
+)
 
 # Reference optimum for the 32x128 spike-recovery instance with seed 7,
 # computed by 10^6 iterations of fixed-step iterative shrinkage with step
@@ -286,6 +297,7 @@ class TestSolve:
         assert res.status == "stationary"
         assert len(res.trace.records) == 1
         assert np.array_equal(res.x, np.zeros(2))
+        assert res.trace.summary.final_residual == 0.0
 
     def test_iter_limit_status(self):
         res = solve(quadratic_problem(), SolverConfig(eps=1e-14, max_iters=3))
@@ -364,7 +376,7 @@ class TestSolve:
     def test_stored_objective_matches_recomputation(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=8)
         res = solve(prob, SolverConfig(eps=1e-7))
-        recomputed = prob.objective(res.x)
+        recomputed = prob.f_value(res.x) + prob.regularizer.value(res.x)
         final = res.trace.summary.final_obj
         assert abs(recomputed - final) <= 1e-12 * max(1.0, abs(final))
 
@@ -443,31 +455,29 @@ class TestTvInnerBudget:
 
 
 class TestStationarityResidual:
+    """The closed-form oracle that the solver's certificate is checked against."""
+
     def test_zero_at_optimal_support_point(self):
         reg = L1Regularizer(1.0)
-        assert reg.stationarity_residual([1.0], [-1.0]) == 0.0
+        assert stationarity_residual(reg, [1.0], [-1.0]) == 0.0
 
     def test_zero_inside_subdifferential_at_origin(self):
         reg = L1Regularizer(1.0)
-        assert reg.stationarity_residual([0.0], [0.5]) == 0.0
+        assert stationarity_residual(reg, [0.0], [0.5]) == 0.0
 
     def test_excess_beyond_threshold(self):
         reg = L1Regularizer(1.0)
-        assert reg.stationarity_residual([0.0], [1.5]) == pytest.approx(0.5)
+        assert stationarity_residual(reg, [0.0], [1.5]) == pytest.approx(0.5)
 
     def test_group_blocks(self):
         reg = GroupL2Regularizer(1.0, [[0, 1]])
         x = np.array([3.0, 4.0])
         g = -x / 5.0  # exactly -tau x/||x||
-        assert reg.stationarity_residual(x, g) == pytest.approx(0.0, abs=1e-15)
-        assert reg.stationarity_residual([0.0, 0.0], [2.0, 0.0]) == pytest.approx(1.0)
+        assert stationarity_residual(reg, x, g) == pytest.approx(0.0, abs=1e-15)
+        assert stationarity_residual(reg, [0.0, 0.0], [2.0, 0.0]) == pytest.approx(1.0)
 
     def test_zero_regularizer_uses_gradient_norm(self):
-        assert ZeroRegularizer().stationarity_residual([1.0], [0.25]) == 0.25
-
-    def test_tv_unsupported(self):
-        with pytest.raises(ValueError):
-            TVIsoRegularizer(1.0, (2, 2)).stationarity_residual(np.zeros(4), np.zeros(4))
+        assert stationarity_residual(ZeroRegularizer(), [1.0], [0.25]) == 0.25
 
     # a subgradient p of psi at x makes g = -p stationary
     @pytest.mark.parametrize(
@@ -481,12 +491,49 @@ class TestStationarityResidual:
         ids=["l1-certificate", "l1-wrong-sign", "group-inside-ball", "group-outside-ball"],
     )
     def test_subgradient_as_negative_gradient(self, reg, x, p, expected):
-        assert reg.stationarity_residual(x, -np.array(p)) == pytest.approx(expected, abs=1e-15)
+        assert stationarity_residual(reg, x, -np.array(p)) == pytest.approx(expected, abs=1e-15)
 
     def test_shape_mismatch(self):
         for reg in (ZeroRegularizer(), L1Regularizer(1.0)):
             with pytest.raises(ValueError, match="same length"):
-                reg.stationarity_residual(np.zeros(3), np.zeros(2))
+                stationarity_residual(reg, np.zeros(3), np.zeros(2))
+
+
+GLL_EPS_1E5 = SolverConfig(ref_policy="gll-max", cycle_m=1, eps=1e-5)
+
+
+class TestCertifiedResidual:
+    """``final_residual`` is an element of grad f + d psi at the final iterate."""
+
+    def test_tv_reports_finite_positive_value(self):
+        res = solve(gen_tv_phantom(rows=16, cols=16, seed=0), SolverConfig(eps=1e-5))
+        assert res.status == "converged"
+        assert 0.0 < res.trace.summary.final_residual < math.inf
+
+    def test_iter_limit_certifies_last_step(self):
+        # the closed form at x_K from the trace's own last step
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=2)
+        res = solve(prob, SolverConfig(max_iters=5))
+        assert res.status == "iter-limit"
+        closed_form = stationarity_residual(prob.regularizer, res.x, prob.f_grad(res.x))
+        assert closed_form <= res.trace.summary.final_residual + 1e-14
+
+    @pytest.mark.parametrize(
+        "make, cfg",
+        [
+            (lambda: gen_bpdn(k=256, n=1024, spikes=160, seed=0, tau=1e-2), GLL_EPS_1E5),
+            (lambda: gen_bpdn(k=256, n=1024, spikes=160, seed=0, tau=1e-3), GLL_EPS_1E5),
+            (lambda: gen_deblur(make_test_pattern(64, 64), seed=0), SolverConfig(eps=1e-4)),
+        ],
+        ids=["bpdn-tau1e-2", "bpdn-tau1e-3", "deblur-64"],
+    )
+    def test_equals_closed_form(self, make, cfg):
+        # the stop values alpha ||dx||_inf are 9.73e-6, 8.57e-6 and 8.61e-5,
+        # against residuals of 7.76e-5, 1.61e-5 and 1.71e-4
+        prob = make()
+        res = solve(prob, cfg)
+        closed_form = stationarity_residual(prob.regularizer, res.x, prob.f_grad(res.x))
+        assert res.trace.summary.final_residual == pytest.approx(closed_form, rel=1e-3)
 
 
 class TestTraceSerialization:
@@ -509,7 +556,9 @@ class TestTraceSerialization:
         assert s["status"] == "converged"
         assert s["iters"] == len(res.trace.records)
         assert s["matvecs"] == prob.matvec_total
-        assert s["final_residual"] <= 1e-6
+        assert res.trace.records[-1].step_inf <= 1e-6  # the stop rule
+        oracle = stationarity_residual(prob.regularizer, res.x, prob.f_grad(res.x))
+        assert oracle <= s["final_residual"] + 1e-14
 
 
 class TestConfigValidation:
