@@ -11,6 +11,7 @@ reference optimum.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -97,8 +98,14 @@ class RateFit:
         return asdict(self)
 
 
+def _check_phi_star(phi_star: float) -> None:
+    if not math.isfinite(phi_star):
+        raise ValueError(f"phi_star must be finite, got {phi_star!r}")
+
+
 def fit_rates(trace: Trace, phi_star: float, burn_in: int | None = None) -> RateFit:
-    """Run both fits on a trace's objective errors against ``phi_star``."""
+    """Run both fits on a trace's objective errors against a finite ``phi_star``."""
+    _check_phi_star(phi_star)
     errors = trace.objective_values(include_final=False) - phi_star
     if burn_in is None:
         burn_in = default_burn_in(errors.size)
@@ -118,9 +125,11 @@ def fit_rates(trace: Trace, phi_star: float, burn_in: int | None = None) -> Rate
 def error_vs_matvec_curve(trace: Trace, phi_star: float) -> np.ndarray:
     """(cumulative matvecs, objective error) pairs, one per iteration.
 
-    ``phi_star`` must not exceed the best objective observed in the trace
-    by more than 1e-9, otherwise the reference optimum is inconsistent.
+    ``phi_star`` must be finite and must not exceed the best objective
+    observed in the trace by more than 1e-9, otherwise the reference
+    optimum is inconsistent.
     """
+    _check_phi_star(phi_star)
     objs = trace.objective_values(include_final=False)
     best = min(
         float(objs.min()),

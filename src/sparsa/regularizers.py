@@ -355,11 +355,13 @@ class TVIsoRegularizer(Regularizer):
     psi(x) = tau * sum_i sqrt((dx_i)^2 + (dy_i)^2) with forward
     differences and replicated far edges. The prox has no closed form and
     is solved iteratively (see :func:`tv_prox`), with ``tv_prox``'s dual
-    step. ``inner_max_iters`` and ``inner_tol`` are the inner iteration cap
-    and exit tolerance of a prox call without state. Within a solve they
-    are only the starting budget: the solve's :class:`TVProxState` doubles
-    the cap and divides the tolerance by 10 after each line search with 3
-    or more backtracks, up to a cap of 640.
+    step. ``inner_max_iters`` and ``inner_tol`` (8 and 1e-5 by default) are
+    the inner iteration cap and exit tolerance of a prox call without
+    state. Within a solve they are only the starting budget: the dual field
+    is warm-started from the previous call, so a few steps per call suffice
+    early on, and the solve's :class:`TVProxState` doubles the cap and
+    divides the tolerance by 10 after each line search with 3 or more
+    backtracks, up to a cap of 640.
     """
 
     kind = "tv-iso"
@@ -368,7 +370,7 @@ class TVIsoRegularizer(Regularizer):
         self,
         tau: float,
         grid: tuple[int, int],
-        inner_max_iters: int = 20,
+        inner_max_iters: int = 8,
         inner_tol: float = 1e-5,
     ):
         super().__init__(tau)

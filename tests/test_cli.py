@@ -268,9 +268,13 @@ class TestBadInput:
             (["rates", "--burn-in", "TRACE_LENGTH"], "--burn-in"),
             (["rates", "--phi-star", "1e9"], "--phi-star"),
             (["curve", "--phi-star", "1e9"], "--phi-star"),
+            *(([command, f"--phi-star={value}"], "ValueError: phi_star must be finite")
+              for command in ("rates", "curve") for value in ("nan", "inf", "-inf")),
         ],
         ids=["negative-burn-in", "burn-in-past-trace", "rates-phi-star-too-high",
-             "curve-phi-star-too-high"],
+             "curve-phi-star-too-high",
+             *(f"{command}-phi-star-{value}"
+               for command in ("rates", "curve") for value in ("nan", "inf", "-inf"))],
     )
     def test_bad_option_value(self, tmp_path, capsys, argv, needle):
         spec_path = tmp_path / "spec.json"
@@ -280,7 +284,7 @@ class TestBadInput:
         trace_path = run / "trace.csv"
         length = len(Trace.read_csv(trace_path).records)
         argv = [str(length) if arg == "TRACE_LENGTH" else arg for arg in argv]
-        if "--phi-star" not in argv:
+        if not any(arg.startswith("--phi-star") for arg in argv):
             argv += ["--phi-star", "0"]
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:

@@ -87,6 +87,15 @@ class TestFitRates:
         assert fit.burn_in == default_burn_in(len(res.trace.records))
 
 
+@pytest.mark.parametrize("phi_star", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_phi_star_rejected(phi_star):
+    res = solve(gen_bpdn(k=16, n=64, spikes=4, seed=1), SolverConfig(eps=1e-3))
+    with pytest.raises(ValueError, match="phi_star must be finite"):
+        fit_rates(res.trace, phi_star)
+    with pytest.raises(ValueError, match="phi_star must be finite"):
+        error_vs_matvec_curve(res.trace, phi_star)
+
+
 class TestCurve:
     def test_single_iteration_trace(self):
         prob = gen_bpdn(k=16, n=32, spikes=4, seed=1, tau=10.0)  # stops immediately

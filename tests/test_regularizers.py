@@ -236,7 +236,7 @@ class TestTvInnerBudget:
         reg.prox(u, 1.0)
         reg.prox(u, 1.0)
         TVIsoRegularizer(0.5, (4, 4), inner_max_iters=7, inner_tol=1e-3).prox(u, 1.0)
-        assert budgets == [(20, 1e-5), (20, 1e-5), (7, 1e-3)]
+        assert budgets == [(8, 1e-5), (8, 1e-5), (7, 1e-3)]
 
     def test_state_starts_at_constructor_budget(self):
         reg = TVIsoRegularizer(0.5, (4, 4), inner_max_iters=7, inner_tol=1e-3)
@@ -249,8 +249,9 @@ class TestTvInnerBudget:
         for j in (0, 2, 3, 1, 5, 3, 3, 3, 3, 4):
             state.note_backtracks(j)
             budgets.append((state.max_iters, state.tol))
-        caps = [20, 20, 40, 40, 80, 160, 320, 640, 640, 640]
-        tols = [1e-5, 1e-5, 1e-6, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-10, 1e-10]
+        # the last doubling, 512 -> 1024, is clipped at the ceiling
+        caps = [8, 8, 16, 16, 32, 64, 128, 256, 512, 640]
+        tols = [1e-5, 1e-5, 1e-6, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12]
         assert [cap for cap, _ in budgets] == caps
         assert [tol for _, tol in budgets] == pytest.approx(tols, rel=1e-12)
 

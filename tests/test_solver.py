@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,7 +405,8 @@ class TestSolve:
 
 # gll at eps 1e-6 on the 32x32 phantom, seed 3: with a fixed TV inner budget
 # of 40 dual steps at tol 1e-5 it ran 3,000 iterations (31,669 matvecs)
-# without converging; the growing budget converges in about 500.
+# without converging; the growing budget, starting at 8 steps, converges in
+# about 500 and grows the cap to 512 on the way.
 RUNAWAY_CFG = SolverConfig(ref_policy="gll-max", cycle_m=1, eps=1e-6, max_iters=1000)
 
 
@@ -433,10 +436,22 @@ class TestTvInnerBudget:
         _, calls = runaway_solve
         assert calls and all(set(c) == {"max_iters", "tol"} for c in calls)
         budgets = [(c["max_iters"], c["tol"]) for c in calls]
-        assert budgets[0] == (20, 1e-5)
+        assert budgets[0] == (8, 1e-5)
         for (cap, tol), (next_cap, next_tol) in zip(budgets, budgets[1:]):
             assert (next_cap, next_tol) in ((cap, tol), (2 * cap, tol / 10))
-        assert 20 < max(cap for cap, _ in budgets) <= 640
+        assert 8 < max(cap for cap, _ in budgets) <= 640
+
+    @pytest.mark.parametrize("instance", [0, 4])
+    def test_default_budget_reaches_reference(self, instance):
+        # the benchmark's tv-phantom cell; a start budget of 4 steps reads
+        # a gap of 1.04e-4 on instance 4
+        problem = gen_tv_phantom(rows=128, cols=128, seed=instance, tau=0.01)
+        result = solve(problem, SolverConfig(eps=1e-5))
+        references = Path(__file__).resolve().parents[1] / "perfbench/reference/tv-phantom.json"
+        reference = json.loads(references.read_text())[str(instance)]["0.01"]
+        assert result.status == "converged"
+        gap = (result.trace.summary.final_obj - reference) / max(1.0, abs(reference))
+        assert gap <= 1e-4
 
     def test_budget_is_per_solve(self):
         # one growth step in this run: a budget kept across solves would
