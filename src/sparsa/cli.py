@@ -155,9 +155,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_phi_star(argv):
+    """Rewrite ``--phi-star -1e-3`` as ``--phi-star=-1e-3``.
+
+    argparse takes a separate argument that starts with ``-`` as a value
+    only when it reads as a plain negative decimal, so exponent forms and
+    ``-inf`` would otherwise be reported as a missing value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--phi-star" and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--phi-star={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_phi_star(sys.argv[1:] if argv is None else argv))
     if args.command in ("solve", "bench") and not args.print_config:
         if not args.spec or not args.out:
             parser.error(f"{args.command} requires --spec and --out (or --print-config)")

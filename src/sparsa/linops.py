@@ -21,7 +21,9 @@ class LinearOperator:
     validated 1-D float arrays. Instances are immutable after
     construction except for the ``forward_count`` and ``adjoint_count``
     application counters, which only the public ``apply`` / ``adjoint``
-    advance.
+    advance, and the scratch contents of a work buffer such as
+    :class:`Blur2D`'s spectrum. A returned array never shares memory with
+    such a buffer.
     """
 
     kind = "abstract"
@@ -138,11 +140,16 @@ class Blur2D(LinearOperator):
 
     The kernel is ``mask_size x mask_size`` with total weight 1, centered
     at offsets ``arange(mask_size) - mask_size // 2`` in each direction.
-    Images are real, so ``rfft2``/``irfft2`` carry only the half spectrum
-    (``cols // 2 + 1`` columns). The half-spectrum transfer function and
-    its conjugate are computed once, read-only; the adjoint multiplies by
-    the stored conjugate, so adjoint consistency is exact even though an
-    even-sized box is not symmetric under the circular shift.
+    Images are real, so only the half spectrum (``cols // 2 + 1``
+    columns) is carried. The half-spectrum transfer function is computed
+    once, read-only. Each application runs the axis transforms that
+    ``rfft2``/``irfft2`` make, in the same order, in one complex work
+    buffer held by the instance (its contents are scratch between calls);
+    only the real result is a fresh array. The adjoint conjugates the
+    spectrum before and after the multiply, which equals multiplying by
+    the conjugate transfer function bit for bit, so adjoint consistency is
+    exact even though an even-sized box is not symmetric under the
+    circular shift.
     """
 
     kind = "blur-2d"
@@ -158,22 +165,28 @@ class Blur2D(LinearOperator):
         self.rows = int(rows)
         self.cols = int(cols)
         self._transfer = np.fft.rfft2(padded)
-        self._transfer_conj = np.conj(self._transfer)
         self._transfer.setflags(write=False)
-        self._transfer_conj.setflags(write=False)
+        self._spectrum = np.empty_like(self._transfer)
         super().__init__(rows * cols, rows * cols)
 
-    def _convolve(self, x, transfer):
-        spectrum = np.fft.rfft2(x.reshape(self.rows, self.cols))
-        spectrum *= transfer
-        # without s=, an odd cols would come back as cols - 1 columns
-        return np.fft.irfft2(spectrum, s=(self.rows, self.cols)).ravel()
+    def _convolve(self, x, adjoint):
+        spec = self._spectrum
+        np.fft.rfft(x.reshape(self.rows, self.cols), axis=1, out=spec)
+        np.fft.fft(spec, axis=0, out=spec)
+        if adjoint:
+            np.conjugate(spec, out=spec)
+        spec *= self._transfer
+        if adjoint:
+            np.conjugate(spec, out=spec)
+        np.fft.ifft(spec, axis=0, out=spec)
+        # without n=, an odd cols would come back as cols - 1 columns
+        return np.fft.irfft(spec, n=self.cols, axis=1).ravel()
 
     def _apply(self, x):
-        return self._convolve(x, self._transfer)
+        return self._convolve(x, adjoint=False)
 
     def _adjoint(self, y):
-        return self._convolve(y, self._transfer_conj)
+        return self._convolve(y, adjoint=True)
 
 
 def haar_analysis_2d(image: np.ndarray, levels: int) -> np.ndarray:
@@ -184,41 +197,51 @@ def haar_analysis_2d(image: np.ndarray, levels: int) -> np.ndarray:
     ``(a-b-c+d)/2``, arranged in the usual quadrant layout (average in
     the top-left, column differences top-right, row differences
     bottom-left, diagonal bottom-right); deeper levels recurse on the
-    top-left quadrant.
+    top-left quadrant. Each level is a butterfly: sums and differences of
+    column pairs go to a scratch array, sums and differences of its row
+    pairs go to the result, which is then halved.
     """
-    out = np.array(image, dtype=float)
-    r, c = out.shape
+    src = np.asarray(image, dtype=float)
+    if levels == 0:
+        return src.copy()
+    out = np.empty_like(src)
+    tmp = np.empty_like(src)
+    r, c = src.shape
     for _ in range(levels):
-        block = out[:r, :c]
-        a = block[0::2, 0::2]
-        b = block[0::2, 1::2]
-        cc = block[1::2, 0::2]
-        d = block[1::2, 1::2]
         r2, c2 = r // 2, c // 2
-        merged = np.empty((r, c))
-        merged[:r2, :c2] = (a + b + cc + d) / 2.0
-        merged[:r2, c2:] = (a - b + cc - d) / 2.0
-        merged[r2:, :c2] = (a + b - cc - d) / 2.0
-        merged[r2:, c2:] = (a - b - cc + d) / 2.0
-        out[:r, :c] = merged
+        t = tmp[:r, :c]
+        np.add(src[:r, 0:c:2], src[:r, 1:c:2], out=t[:, :c2])
+        np.subtract(src[:r, 0:c:2], src[:r, 1:c:2], out=t[:, c2:])
+        np.add(t[0::2], t[1::2], out=out[:r2, :c])
+        np.subtract(t[0::2], t[1::2], out=out[r2:r, :c])
+        out[:r, :c] *= 0.5
+        src = out
         r, c = r2, c2
     return out
 
+
 def haar_synthesis_2d(coeffs: np.ndarray, levels: int) -> np.ndarray:
-    """Inverse of :func:`haar_analysis_2d` (orthonormal, so the transpose)."""
+    """Inverse of :func:`haar_analysis_2d` (orthonormal, so the transpose).
+
+    Each level, coarsest first, runs the analysis butterfly backwards:
+    sums and differences of the top and bottom quadrants go to the even
+    and odd rows of a scratch array, sums and differences of its left and
+    right halves go to the even and odd columns of the result, which is
+    then halved.
+    """
     out = np.array(coeffs, dtype=float)
+    if levels == 0:
+        return out
+    tmp = np.empty_like(out)
     rows, cols = out.shape
     for r2, c2 in [(rows >> lv, cols >> lv) for lv in range(levels, 0, -1)]:
-        ll = out[:r2, :c2]
-        h = out[:r2, c2 : 2 * c2]
-        v = out[r2 : 2 * r2, :c2]
-        dg = out[r2 : 2 * r2, c2 : 2 * c2]
-        block = np.empty((2 * r2, 2 * c2))
-        block[0::2, 0::2] = (ll + h + v + dg) / 2.0
-        block[0::2, 1::2] = (ll - h + v - dg) / 2.0
-        block[1::2, 0::2] = (ll + h - v - dg) / 2.0
-        block[1::2, 1::2] = (ll - h - v + dg) / 2.0
-        out[: 2 * r2, : 2 * c2] = block
+        r, c = 2 * r2, 2 * c2
+        t = tmp[:r, :c]
+        np.add(out[:r2, :c], out[r2:r, :c], out=t[0::2])
+        np.subtract(out[:r2, :c], out[r2:r, :c], out=t[1::2])
+        np.add(t[:, :c2], t[:, c2:], out=out[:r, 0:c:2])
+        np.subtract(t[:, :c2], t[:, c2:], out=out[:r, 1:c:2])
+        out[:r, :c] *= 0.5
     return out
 
 

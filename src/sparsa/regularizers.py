@@ -24,7 +24,12 @@ from .solver import check_integer, check_real
 
 
 def soft_threshold(u: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
+    """``sign(u) * max(|u| - t, 0)``, computed in one result buffer."""
+    z = np.abs(u)
+    z -= t
+    np.maximum(z, 0.0, out=z)
+    np.multiply(np.sign(u), z, out=z)
+    return z
 
 
 class Regularizer:

@@ -188,6 +188,66 @@ def box_blur_complex_fft(x, rows, cols, mask_size, adjoint=False):
     return np.real(np.fft.ifft2(np.fft.fft2(img) * transfer)).ravel()
 
 
+def box_blur_rfft2(x, rows, cols, mask_size, adjoint=False):
+    """The circular box blur as one ``rfft2`` / ``irfft2`` pair.
+
+    The half-spectrum transfer function of the zero-padded kernel,
+    conjugated for the adjoint, multiplies ``rfft2`` of the image;
+    ``irfft2`` is told the output shape. ``sparsa.linops.Blur2D`` runs the
+    same axis transforms in a held buffer and must match this bit for bit.
+    """
+    offs = np.arange(mask_size) - mask_size // 2
+    padded = np.zeros((rows, cols))
+    padded[np.ix_(offs % rows, offs % cols)] = 1.0 / mask_size**2
+    transfer = np.fft.rfft2(padded)
+    if adjoint:
+        transfer = np.conj(transfer)
+    spectrum = np.fft.rfft2(np.asarray(x, dtype=float).reshape(rows, cols))
+    spectrum *= transfer
+    return np.fft.irfft2(spectrum, s=(rows, cols)).ravel()
+
+
+def haar_analysis_quadrants(image, levels):
+    """One Haar analysis level per loop, each quadrant from its own formula.
+
+    Each 2x2 block ``[[a, b], [c, d]]`` gives ``(a+b+c+d)/2`` (top-left),
+    ``(a-b+c-d)/2`` (top-right), ``(a+b-c-d)/2`` (bottom-left) and
+    ``(a-b-c+d)/2`` (bottom-right); deeper levels recurse on the top-left
+    quadrant.
+    """
+    out = np.array(image, dtype=float)
+    r, c = out.shape
+    for _ in range(levels):
+        block = out[:r, :c]
+        a, b = block[0::2, 0::2], block[0::2, 1::2]
+        cc, d = block[1::2, 0::2], block[1::2, 1::2]
+        r2, c2 = r // 2, c // 2
+        merged = np.empty((r, c))
+        merged[:r2, :c2] = (a + b + cc + d) / 2.0
+        merged[:r2, c2:] = (a - b + cc - d) / 2.0
+        merged[r2:, :c2] = (a + b - cc - d) / 2.0
+        merged[r2:, c2:] = (a - b - cc + d) / 2.0
+        out[:r, :c] = merged
+        r, c = r2, c2
+    return out
+
+
+def haar_synthesis_quadrants(coeffs, levels):
+    """The inverse of :func:`haar_analysis_quadrants`, one 2x2 block formula per entry."""
+    out = np.array(coeffs, dtype=float)
+    rows, cols = out.shape
+    for r2, c2 in [(rows >> lv, cols >> lv) for lv in range(levels, 0, -1)]:
+        ll, h = out[:r2, :c2], out[:r2, c2 : 2 * c2]
+        v, dg = out[r2 : 2 * r2, :c2], out[r2 : 2 * r2, c2 : 2 * c2]
+        block = np.empty((2 * r2, 2 * c2))
+        block[0::2, 0::2] = (ll + h + v + dg) / 2.0
+        block[0::2, 1::2] = (ll - h + v - dg) / 2.0
+        block[1::2, 0::2] = (ll + h - v - dg) / 2.0
+        block[1::2, 1::2] = (ll - h - v + dg) / 2.0
+        out[: 2 * r2, : 2 * c2] = block
+    return out
+
+
 def tv_objective(z, u, weight):
     """0.5||z-u||^2 + weight * isotropic TV, written out independently."""
     z = np.asarray(z, dtype=float)

@@ -297,6 +297,22 @@ class TestBadInput:
         assert ("burn_in" if needle == "--burn-in" else "phi_star") in last
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rates", "curve"])
+    def test_negative_phi_star_as_separate_argument(self, tmp_path, capsys, command):
+        # argparse alone reads "-1e-3" and "-inf" as options, not values
+        spec_path = tmp_path / "spec.json"
+        write_bpdn_spec(spec_path)
+        run = tmp_path / "run"
+        assert main(["solve", "--spec", str(spec_path), "--out", str(run)]) == 0
+        base = [command, "--trace", str(run / "trace.csv")]
+        assert main(base + ["--phi-star", "-1e-3", "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--phi-star", "-inf", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert "ValueError: phi_star must be finite" in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "path-below-file"])
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_out_names_existing_file(self, tmp_path, capsys, monkeypatch, command, below):

@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import box_blur_complex_fft
+from conftest import (
+    box_blur_complex_fft,
+    box_blur_rfft2,
+    haar_analysis_quadrants,
+    haar_synthesis_quadrants,
+)
 from sparsa.linops import (
     Blur2D,
     ComposedOperator,
@@ -21,6 +28,8 @@ def all_concrete_ops(rng):
         Blur2D(8, 8, 4),  # even kernel exercises the centering convention
         Blur2D(7, 9, 4),  # odd, non-square: irfft2 must be told the output shape
         HaarSynthesis2D(8, 8, 2),
+        HaarSynthesis2D(16, 32, 4),  # non-square grids
+        HaarSynthesis2D(12, 20, 2),
         ComposedOperator(Blur2D(8, 8, 8), HaarSynthesis2D(8, 8, 3)),
     ]
 
@@ -117,11 +126,36 @@ class TestBlur:
         assert np.max(np.abs(got_apply - box_blur_complex_fft(x, rows, cols, m))) <= 1e-13
         assert np.max(np.abs(got_adjoint - box_blur_complex_fft(x, rows, cols, m, True))) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "rows, cols, m",
+        [(256, 256, 8), (7, 9, 4), (33, 64, 5), (64, 33, 6), (1, 5, 1), (5, 1, 1)],
+        ids=["256x256", "7x9", "33x64", "64x33", "1x5", "5x1"],
+    )
+    def test_byte_equal_to_rfft2_formula(self, rng, rows, cols, m):
+        op = Blur2D(rows, cols, m)
+        for _ in range(3):
+            x = rng.standard_normal(rows * cols)
+            for adjoint, got in ((False, op.apply(x)), (True, op.adjoint(x))):
+                want = box_blur_rfft2(x, rows, cols, m, adjoint)
+                assert got.tobytes() == want.tobytes(), f"adjoint={adjoint}"
+
+    @pytest.mark.parametrize("compose", [False, True], ids=["blur", "blur-of-haar"])
+    def test_results_not_aliased(self, rng, compose):
+        op = Blur2D(16, 16, 4)
+        if compose:
+            op = ComposedOperator(op, HaarSynthesis2D(16, 16, 2))
+        forward = op.apply(rng.standard_normal(256))
+        backward = op.adjoint(rng.standard_normal(256))
+        kept = forward.copy(), backward.copy()
+        op.apply(rng.standard_normal(256))
+        op.adjoint(rng.standard_normal(256))
+        assert np.array_equal(forward, kept[0])
+        assert np.array_equal(backward, kept[1])
+
     def test_transfer_functions_read_only(self):
         op = Blur2D(8, 8, 4)
-        for transfer in (op._transfer, op._transfer_conj):
-            with pytest.raises(ValueError):
-                transfer[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            op._transfer[0, 0] = 0.0
 
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +219,38 @@ class TestHaar:
             HaarSynthesis2D(6, 6, 2)
 
     @pytest.mark.parametrize(
+        "rows, cols, levels",
+        [(256, 256, 3), (16, 32, 4), (12, 20, 2), (8, 8, 3), (2, 2, 1)],
+        ids=["256x256-3", "16x32-4", "12x20-2", "8x8-3", "2x2-1"],
+    )
+    def test_butterflies_match_quadrant_formulas(self, rng, rows, cols, levels):
+        for _ in range(3):
+            x = rng.standard_normal((rows, cols))
+            for got, want in ((haar_analysis_2d(x, levels), haar_analysis_quadrants(x, levels)),
+                              (haar_synthesis_2d(x, levels), haar_synthesis_quadrants(x, levels))):
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("rows, cols, levels", [(16, 32, 4), (12, 20, 2)],
+                             ids=["16x32-4", "12x20-2"])
+    def test_non_square_inverse(self, rng, rows, cols, levels):
+        op = HaarSynthesis2D(rows, cols, levels)
+        for _ in range(10):
+            x = rng.standard_normal(rows * cols)
+            assert np.allclose(op.adjoint(op.apply(x)), x, atol=1e-13)
+            assert np.allclose(op.apply(op.adjoint(x)), x, atol=1e-13)
+
+    def test_levels_zero_copies_non_square(self, rng):
+        img = rng.standard_normal((7, 9))
+        for transform in (haar_analysis_2d, haar_synthesis_2d):
+            out = transform(img, 0)
+            assert np.array_equal(out, img)
+            assert not np.shares_memory(out, img)
+        op = HaarSynthesis2D(7, 9, 0)
+        x = rng.standard_normal(63)
+        assert np.array_equal(op.apply(x), x)
+        assert np.array_equal(op.adjoint(x), x)
+
+    @pytest.mark.parametrize(
         "args, name",
         [((8, 8, 1.5), "levels"), ((8, 8, False), "levels"), ((8, 8.0, 1), "cols"),
          ((np.float64(8), 8, 1), "rows")],
@@ -193,6 +259,39 @@ class TestHaar:
     def test_non_integer_size_rejected(self, args, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             HaarSynthesis2D(*args)
+
+
+def peak_over_output(fn, x):
+    """Peak bytes traced during ``fn(x)``, as a multiple of the result's bytes."""
+    fn(x)  # first call outside the trace, so one-time set-up is not counted
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
+class TestAllocationBudget:
+    """Deterministic guard on the temporaries of one 256x256 matvec.
+
+    tracemalloc sees numpy's data allocations. The bounds are multiples of
+    the result's bytes: the blur allocates only its result, and the Haar
+    synthesis its result and one scratch array of the same size.
+    """
+
+    def test_blur_allocates_only_its_result(self, rng):
+        op = Blur2D(256, 256, 8)
+        x = rng.standard_normal(op.domain_dim)
+        assert peak_over_output(op.apply, x) <= 1.1
+        assert peak_over_output(op.adjoint, x) <= 1.1
+
+    def test_haar_synthesis_one_scratch(self, rng):
+        op = HaarSynthesis2D(256, 256, 3)
+        x = rng.standard_normal(op.domain_dim)
+        assert peak_over_output(op.apply, x) <= 2.5
 
 
 class TestCounting:

@@ -9,6 +9,7 @@ from sparsa.regularizers import (
     L1Regularizer,
     TVIsoRegularizer,
     ZeroRegularizer,
+    soft_threshold,
     tv_divergence,
     tv_gradient,
     tv_prox,
@@ -66,6 +67,14 @@ class TestProxClosedForms:
         reg = L1Regularizer(2.0)
         # threshold tau/(2 alpha) = 1
         assert np.allclose(reg.prox([3.0, -1.0, 0.5], alpha=1.0), [2.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.5])
+    def test_soft_threshold_byte_equal_to_formula(self, rng, t):
+        u = np.concatenate([[0.0, -0.0, 0.3, -0.3, 2.5, -2.5], rng.standard_normal(50)])
+        want = np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
+        got = soft_threshold(u, t)
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, u)
 
     def test_tau_zero_returns_u(self, rng):
         u = rng.standard_normal(6)
