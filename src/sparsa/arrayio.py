@@ -1,9 +1,8 @@
-"""File formats: PGM images, raw float64 arrays with JSON sidecars, CSV records."""
+"""File formats: PGM images and CSV records (arrays go through ``np.save``)."""
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -63,33 +62,6 @@ def write_pgm(path, image: np.ndarray, binary: bool = True):
     else:
         lines = [" ".join(str(v) for v in row) for row in raster]
         Path(path).write_text(f"P2\n{cols} {rows}\n255\n" + "\n".join(lines) + "\n")
-
-
-def write_raw(path, array: np.ndarray):
-    """Write little-endian float64 bytes plus a JSON sidecar {rows, cols}."""
-    array = np.asarray(array, dtype=float)
-    if array.ndim == 1:
-        rows, cols = array.shape[0], 1
-    elif array.ndim == 2:
-        rows, cols = array.shape
-    else:
-        raise ValueError("only 1-D and 2-D arrays supported")
-    path = Path(path)
-    array.astype("<f8").tofile(path)
-    sidecar = path.with_suffix(path.suffix + ".json")
-    sidecar.write_text(json.dumps({"rows": rows, "cols": cols}) + "\n")
-
-
-def read_raw(path) -> np.ndarray:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    rows, cols = sidecar["rows"], sidecar["cols"]
-    data = np.fromfile(path, dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError(f"raw file holds {data.size} values, expected {rows * cols}")
-    if cols == 1:
-        return data
-    return data.reshape(rows, cols)
 
 
 def write_records_csv(path, record_type, records):

@@ -1,10 +1,11 @@
 """Command-line front end: solve a generated problem, benchmark, fit rates.
 
-``solve`` and ``bench`` rebuild each problem from its generator spec, so
-no command writes a problem's arrays; every file written is a result or
-a trace that ``rates`` and ``curve`` read. An input file that cannot be
-read, parsed or built, and an option value that the rate fit or the curve
-rejects, is a one-line usage error (exit status 2).
+``solve`` and ``bench`` rebuild each problem from its generator spec and
+write no problem arrays: ``solve`` writes its trace, its summary and the
+solution ``x.npy`` (``np.load`` reads it); traces feed ``rates`` and
+``curve``. An input file that cannot be read, parsed or built, and an
+option value the rate fit or the curve rejects, is a one-line usage error
+(exit status 2).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import arrayio
+import numpy as np
+
 from .harness import (
     ExperimentSpec,
     error_vs_matvec_curve,
@@ -70,7 +72,7 @@ def cmd_solve(args):
     if variant.continuation:
         summary["stages"] = res.stages
     _write_json(out / "summary.json", summary)
-    arrayio.write_raw(out / "x.raw", res.x)
+    np.save(out / "x.npy", res.x)
     print(
         f"status={res.status} iters={summary['iters']} "
         f"matvecs={summary['matvecs']} final_obj={summary['final_obj']:.12g}"
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="solver config JSON (partial overrides)")
     p.add_argument("--eps", type=float, help="override stopping tolerance")
     p.add_argument("--continuation", action="store_true")
-    p.add_argument("--out", help="output directory for trace/summary")
+    p.add_argument("--out", help="output directory for trace, summary and solution")
     p.add_argument("--print-config", action="store_true", help="print defaults and exit")
     p.set_defaults(func=cmd_solve)
 

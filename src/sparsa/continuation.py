@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .solver import SolveResult, SolverConfig, Trace, TraceRecord, solve
+from .solver import SolveResult, SolverConfig, Trace, TraceRecord, check_real, solve
 
 # The first stage's weight as a fraction of ||A^T b||_inf, above which the
 # l1 solution is identically zero.
@@ -37,6 +37,7 @@ class ContinuationSchedule:
     tau_target: float
 
     def __post_init__(self):
+        check_real("tau_target", self.tau_target)
         if not (math.isfinite(self.tau_target) and self.tau_target > 0):
             raise ValueError(f"tau_target must be positive and finite, got {self.tau_target!r}")
 

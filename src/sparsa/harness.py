@@ -177,9 +177,6 @@ class Variant:
         """The name as it starts trace file names: a '/' would open a directory."""
         return self.name.replace("/", "-")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "Variant":
         """Missing keys take their defaults; an unknown key is a ``TypeError``."""

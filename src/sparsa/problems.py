@@ -14,6 +14,7 @@ seeded 64-bit PCG generator (0: operator/matrix, 1: signal/support,
 from __future__ import annotations
 
 import inspect
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -47,6 +48,11 @@ def _substreams(seed: int):
 
 def linf(v) -> float:
     return float(np.max(np.abs(v)))
+
+
+def _check_noise_std(noise_std) -> None:
+    if not (np.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be nonnegative and finite, got {noise_std!r}")
 
 
 @dataclass
@@ -119,8 +125,9 @@ def gen_bpdn(
     noise. Starts from x1 = 0 with an l1 regularizer. ``tau = None``
     defaults to 0.1 * ||A^T b||_inf.
     """
-    if spikes > n:
-        raise ValueError("spikes must be <= n")
+    if n < 1 or not 0 <= spikes <= n:
+        raise ValueError(f"spikes must be in [0, n] with n >= 1, got spikes={spikes!r}, n={n!r}")
+    _check_noise_std(noise_std)
     rng_matrix, rng_signal, rng_noise = _substreams(seed)
     A = rng_matrix.normal(0.0, np.sqrt(1.0 / (2 * n)), size=(k, n))
     x_true = np.zeros(n)
@@ -156,10 +163,11 @@ def gen_group(
     ``active_groups`` are filled with unit Gaussians, and the group-l2
     weight is ``tau_coef * ||A^T b||_inf``.
     """
-    if n % num_groups:
-        raise ValueError("n must be divisible by num_groups")
-    if active_groups > num_groups:
-        raise ValueError("active_groups must be <= num_groups")
+    if num_groups < 1 or n % num_groups:
+        raise ValueError(f"num_groups must be a positive divisor of n, got {num_groups!r}")
+    if not 0 <= active_groups <= num_groups:
+        raise ValueError(f"active_groups must be in [0, num_groups], got {active_groups!r}")
+    _check_noise_std(noise_std)
     rng_matrix, rng_signal, rng_noise = _substreams(seed)
     G = rng_matrix.standard_normal((k, n))
     Q, _ = np.linalg.qr(G.T)
@@ -182,20 +190,28 @@ def gen_group(
 
 
 def gen_deblur(
-    image: np.ndarray,
+    image: np.ndarray | str | None = None,
     mask_size: int = 8,
     levels: int = 3,
     seed: int = 0,
     tau: float = 5e-5,
     noise_std: float = 0.0055,
+    rows: int = 64,
+    cols: int = 64,
 ) -> LeastSquaresProblem:
-    """Wavelet-domain deblurring of a given image.
+    """Wavelet-domain deblurring of ``image``: an array, a PGM file's path,
+    or ``None`` for the built-in ``rows`` x ``cols`` test pattern.
 
     The observation is the circularly blurred image plus Gaussian noise;
     the unknown lives in Haar-coefficient space so the forward model is
     blur composed with Haar synthesis. Starts from the analysis
     transform of the observation, with an l1 coefficient penalty.
     """
+    _check_noise_std(noise_std)
+    if image is None:
+        image = test_pattern(rows, cols)
+    elif isinstance(image, (str, os.PathLike)):
+        image = read_pgm(image)
     image = np.asarray(image, dtype=float)
     rows, cols = image.shape
     _, _, rng_noise = _substreams(seed)
@@ -230,8 +246,11 @@ def gen_tv_phantom(
     sampling ratio exactly; DC is always kept. Starts from the adjoint
     of the observations.
     """
-    if rows != cols:
-        raise ValueError("phantom generator expects a square grid")
+    if rows != cols or rows < 1:
+        raise ValueError(f"phantom generator expects a nonempty square grid, got {rows}x{cols}")
+    if not 0 < sampling_ratio <= 1:
+        raise ValueError(f"sampling_ratio must be in (0, 1], got {sampling_ratio!r}")
+    _check_noise_std(noise_std)
     rng_matrix, _, rng_noise = _substreams(seed)
     phantom = shepp_logan(rows, cols)
     if num_lines is None:
@@ -343,29 +362,11 @@ def test_pattern(rows: int, cols: int) -> np.ndarray:
 # -- serializable generator specs -----------------------------------------------
 
 
-def _gen_deblur_from_spec(
-    image: str | None = None,
-    rows: int = 64,
-    cols: int = 64,
-    mask_size: int = 8,
-    levels: int = 3,
-    seed: int = 0,
-    tau: float = 5e-5,
-    noise_std: float = 0.0055,
-) -> LeastSquaresProblem:
-    """``gen_deblur`` on the PGM image at path ``image``, or, without one, on
-    the built-in ``rows`` x ``cols`` test pattern."""
-    picture = read_pgm(image) if image else test_pattern(rows, cols)
-    return gen_deblur(
-        picture, mask_size=mask_size, levels=levels, seed=seed, tau=tau, noise_std=noise_std
-    )
-
-
 # family name -> generator taking ``seed`` and the spec's params as keywords
 GENERATORS = {
     "bpdn": gen_bpdn,
     "group": gen_group,
-    "deblur": _gen_deblur_from_spec,
+    "deblur": gen_deblur,
     "tv-phantom": gen_tv_phantom,
 }
 

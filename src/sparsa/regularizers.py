@@ -80,6 +80,7 @@ class Regularizer:
 
 
 def _check_tau(tau) -> float:
+    check_real("tau", tau)
     tau = float(tau)
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
@@ -176,7 +177,6 @@ def tv_gradient(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     flattened image: the entries that wrap from one row into the next land
     in the far column, which is then zeroed.
     """
-    z = np.ascontiguousarray(z)
     g = np.empty((2,) + z.shape, dtype=z.dtype) if out is None else _check_c_contiguous("out", out)
     flat = z.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=g[0].reshape(-1)[:-1])
@@ -186,21 +186,16 @@ def tv_gradient(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return g
 
 
-def tv_divergence(
-    px: np.ndarray, py: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
-) -> np.ndarray:
+def tv_divergence(px: np.ndarray, py: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Negative adjoint of :func:`tv_gradient` (<grad z, p> = -<z, div p>).
 
-    With ``out`` the divergence is written into that array, and with
-    ``work`` the y part is built in that plane (both C-contiguous, shaped
-    like ``px``), instead of fresh ones; the arithmetic is the same either
-    way. It is ``(0 + x_part) + y_part`` in that order, so even the sign of
-    a zero is that of the two parts accumulated into a zeroed array.
+    The divergence is written into ``out`` and its y part is built in
+    ``work`` (both C-contiguous, shaped like ``px``); ``out`` is returned.
+    It is ``(0 + x_part) + y_part`` in that order, so even the sign of a
+    zero is that of the two parts accumulated into a zeroed array.
     """
-    px = np.ascontiguousarray(px)
-    py = np.ascontiguousarray(py)
     rows, cols = px.shape
-    div = np.empty_like(px) if out is None else _check_c_contiguous("out", out)
+    div = _check_c_contiguous("out", out)
     if cols > 1:
         # one subtraction over the flattened plane; the first and last
         # columns, where it wraps across rows, are then set explicitly
@@ -214,7 +209,7 @@ def tv_divergence(
     else:
         div.fill(0.0)
     if rows > 1:
-        w = np.empty_like(py) if work is None else _check_c_contiguous("work", work)
+        w = _check_c_contiguous("work", work)
         w[0] = py[0]
         np.subtract(py[1:-1], py[:-2], out=w[1:-1])
         w[-1] = -py[-2]
@@ -235,23 +230,26 @@ def tv_value_2d(z: np.ndarray, work: np.ndarray | None = None) -> float:
     return float(np.sum(g[0]))
 
 
+# tv_prox's dual step times the weight; at most 0.25 keeps the step below
+# 2/L for the dual gradient (L <= 8 weight^2), so the dual objective falls.
+DUAL_STEP = 0.248
+
+
 def tv_prox(
     u: np.ndarray,
     weight: float,
     p0=None,
     max_iters: int = 40,
     tol: float = 1e-5,
-    step: float = 0.248,
     dual_history: list | None = None,
 ):
     """Weighted isotropic-TV proximal map by dual projected gradient.
 
     Minimizes ``0.5 ||z - u||^2 + weight * TV(z)`` through its dual
     ``min 0.5 ||u + weight * div(p)||^2`` over per-pixel unit balls
-    ``||p_ij||_2 <= 1``. With ``step <= 0.25`` the dual step length is below
-    2/L for the dual gradient (L <= 8 weight^2), so the dual objective
-    decreases monotonically. Returns ``(z, p)``; pass ``p`` back as ``p0``
-    to warm-start the next call. The result is never worse than ``z = u``.
+    ``||p_ij||_2 <= 1`` with step ``DUAL_STEP / weight``. Returns ``(z, p)``;
+    pass ``p`` back as ``p0`` to warm-start the next call. The result is
+    never worse than ``z = u``. ``dual_history`` collects ``0.5 ||z||^2``.
 
     The loop stops once an iteration moves no dual entry by more than
     ``tol``. The test needs no scale: after projection every ``|p|`` entry is
@@ -279,7 +277,7 @@ def tv_prox(
     norm = np.empty_like(u)
     div = np.empty_like(u)
     z = np.empty_like(u)
-    scale = step / weight
+    scale = DUAL_STEP / weight
 
     def update_z():
         # q is dead here: its first plane is the divergence's work plane
@@ -359,14 +357,13 @@ class TVIsoRegularizer(Regularizer):
 
     psi(x) = tau * sum_i sqrt((dx_i)^2 + (dy_i)^2) with forward
     differences and replicated far edges. The prox has no closed form and
-    is solved iteratively (see :func:`tv_prox`), with ``tv_prox``'s dual
-    step. ``inner_max_iters`` and ``inner_tol`` (8 and 1e-5 by default) are
-    the inner iteration cap and exit tolerance of a prox call without
-    state. Within a solve they are only the starting budget: the dual field
-    is warm-started from the previous call, so a few steps per call suffice
-    early on, and the solve's :class:`TVProxState` doubles the cap and
-    divides the tolerance by 10 after each line search with 3 or more
-    backtracks, up to a cap of 640.
+    is solved iteratively (see :func:`tv_prox`). ``inner_max_iters`` and
+    ``inner_tol`` (8 and 1e-5 by default) are the inner iteration cap and
+    exit tolerance of a prox call without state. Within a solve they are
+    only the starting budget: the dual field is warm-started from the
+    previous call, so a few steps per call suffice early on, and the
+    solve's :class:`TVProxState` doubles the cap (up to 640) and divides
+    the tolerance by 10 after each line search with 3 or more backtracks.
     """
 
     kind = "tv-iso"

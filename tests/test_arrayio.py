@@ -54,35 +54,3 @@ class TestPgm:
         with pytest.raises(ValueError):
             arrayio.read_pgm(path)
 
-
-class TestRaw:
-    def test_matrix_roundtrip_bitwise(self, tmp_path, rng):
-        mat = rng.standard_normal((3, 5))
-        path = tmp_path / "m.raw"
-        arrayio.write_raw(path, mat)
-        back = arrayio.read_raw(path)
-        assert back.shape == (3, 5)
-        assert np.array_equal(back, mat)
-
-    def test_vector_roundtrip_bitwise(self, tmp_path, rng):
-        vec = rng.standard_normal(11)
-        path = tmp_path / "v.raw"
-        arrayio.write_raw(path, vec)
-        back = arrayio.read_raw(path)
-        assert back.ndim == 1
-        assert np.array_equal(back, vec)
-
-    def test_sidecar_contents(self, tmp_path):
-        import json
-
-        path = tmp_path / "a.raw"
-        arrayio.write_raw(path, np.zeros((2, 3)))
-        sidecar = json.loads((tmp_path / "a.raw.json").read_text())
-        assert sidecar == {"rows": 2, "cols": 3}
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "t.raw"
-        arrayio.write_raw(path, np.zeros(4))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            arrayio.read_raw(path)

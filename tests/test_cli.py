@@ -3,9 +3,10 @@ import io
 import json
 from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
-from sparsa import arrayio, cli
+from sparsa import cli
 from sparsa.cli import main
 from sparsa.harness import (
     CurvePoint,
@@ -43,8 +44,22 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "converged"
         assert (out / "trace.csv").exists()
-        x = arrayio.read_raw(out / "x.raw")
+        x = np.load(out / "x.npy")
         assert x.shape == (64,)
+
+    def test_solution_file_is_the_result_bit_for_bit(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec = write_bpdn_spec(spec_path)
+        out = tmp_path / "run"
+        assert main(["solve", "--spec", str(spec_path), "--out", str(out)]) == 0
+        cfg = SolverConfig()
+        res = run_one(GeneratorSpec.from_dict(spec).make(), Variant("cli", cfg), cfg.eps)
+        x_path = out / "x.npy"
+        assert np.load(x_path).tobytes() == res.x.tobytes()
+        # the .npy header records the length, so a truncated file is refused
+        x_path.write_bytes(x_path.read_bytes()[:-8])
+        with pytest.raises(ValueError):
+            np.load(x_path)
 
     def test_solve_with_config_overrides(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -55,7 +70,7 @@ class TestSolve:
         main(["solve", "--spec", str(spec_path), "--config", str(cfg_path), "--out", str(out)])
         assert Trace.read_csv(out / "trace.csv").records[-1].step_inf <= 1e-4  # the stop rule
         problem = GeneratorSpec.from_dict(json.loads(spec_path.read_text())).make()
-        x = arrayio.read_raw(out / "x.raw")
+        x = np.load(out / "x.npy")
         oracle = stationarity_residual(problem.regularizer, x, problem.f_grad(x))
         assert oracle <= json.loads((out / "summary.json").read_text())["final_residual"] + 1e-14
 
@@ -179,6 +194,12 @@ class TestBenchRatesCurve:
 
 BPDN = {"family": "bpdn", "params": {"k": 16, "n": 64, "spikes": 4}}
 DEBLUR = {"family": "deblur", "params": {"rows": 16, "cols": 16}}
+TV = {"family": "tv-phantom", "params": {"rows": 8, "cols": 8}}
+GROUP = {"family": "group", "params": {"k": 8, "n": 16, "num_groups": 4, "active_groups": 1}}
+
+
+def with_params(spec, **params):
+    return {**spec, "params": {**spec["params"], **params}}
 
 
 class TestBadInput:
@@ -217,6 +238,16 @@ class TestBadInput:
              "tau must be a number"),
             ("bench", {"generator": {**BPDN, "params": {**BPDN["params"], "tau": "0.1"}}},
              None, "tau must be a number"),
+            ("solve", with_params(TV, noise_std=float("nan")), None, "noise_std must be"),
+            ("solve", with_params(TV, noise_std=-1.0), None, "noise_std must be"),
+            ("solve", with_params(BPDN, noise_std=float("nan"), tau=1e-3), None,
+             "noise_std must be"),
+            ("solve", with_params(DEBLUR, noise_std=float("nan")), None, "noise_std must be"),
+            ("solve", with_params(TV, sampling_ratio=-0.5), None, "sampling_ratio must be"),
+            ("solve", with_params(BPDN, spikes=-3), None, "spikes must be"),
+            ("solve", with_params(BPDN, n=0, spikes=0), None, "n >= 1"),
+            ("solve", with_params(GROUP, num_groups=0), None, "num_groups must be"),
+            ("solve", with_params(TV, rows=0, cols=0), None, "nonempty square grid"),
         ],
         ids=[
             "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
@@ -226,6 +257,9 @@ class TestBadInput:
             "bench-colliding-tolerances", "fractional-mask-size", "bench-fractional-levels",
             "bench-mask-size-out-of-range", "bench-string-continuation", "bench-number-name",
             "bench-bool-tolerance", "bool-tau", "bench-string-tau",
+            "tv-nan-noise", "tv-negative-noise", "bpdn-nan-noise", "deblur-nan-noise",
+            "tv-negative-sampling-ratio", "bpdn-negative-spikes", "bpdn-zero-n", "group-zero-groups",
+            "tv-zero-rows",
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):
@@ -366,7 +400,7 @@ def without_wall_times(record):
 class TestFileContract:
     """Each command writes a fixed set of files, and each is read by something.
 
-    The solution ``x.raw`` is the answer; every trace feeds ``rates`` and
+    The solution ``x.npy`` is the answer; every trace feeds ``rates`` and
     ``curve``; ``table.csv``, ``summary.json`` and ``manifest.json`` are the
     reports. A new output file fails here until something reads it.
     """
@@ -378,8 +412,8 @@ class TestFileContract:
         for flags in ([], ["--continuation"]):
             out = tmp_path / ("solve" + "".join(flags))
             assert main(["solve", "--spec", str(spec_path), "--out", str(out), *flags]) == 0
-            assert written(out) == {"trace.csv", "summary.json", "x.raw", "x.raw.json"}
-            assert arrayio.read_raw(out / "x.raw").shape == (64,)
+            assert written(out) == {"trace.csv", "summary.json", "x.npy"}
+            assert np.load(out / "x.npy").shape == (64,)
             assert json.loads((out / "summary.json").read_text())["status"] == "converged"
             traces.append(out / "trace.csv")
 

@@ -30,6 +30,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match="tau_target"):
             ContinuationSchedule(tau_target=bad)
 
+    @pytest.mark.parametrize("bad", [True, "1e-3"], ids=repr)
+    def test_non_number_target_rejected(self, bad):
+        with pytest.raises(ValueError, match="tau_target must be a number"):
+            ContinuationSchedule(tau_target=bad)
+
 
 class TestSolveWithContinuation:
     def test_single_stage_matches_plain_solve(self):

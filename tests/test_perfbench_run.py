@@ -5,11 +5,15 @@ and, under continuation, its ``stages``. These tests call its
 ``run_solve`` on a small spike-recovery cell, plain and with continuation,
 and on a small deblur cell, so a refactor that breaks one of those names,
 or the FFT/Haar operator the deblur workload solves through, fails here
-rather than in a benchmark run.
+rather than in a benchmark run. ``perfbench/make_reference.py`` passes the
+TV regularizer's inner settings and ``problem.replaced``; its
+``reference_optimum`` runs here on each workload at a tiny size.
 """
 
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparsa import continuation, problems, solver
@@ -66,3 +70,24 @@ def test_deblur_cell_passes_its_checks(perfbench):
     out = run.run_solve(0, cell, small_deblur(), reference, gap_tol=deblur.gap_tol)
     assert out.errors == []
     assert out.matvecs > 0 and out.iters > 0
+
+
+TINY = {
+    "bpdn-sweep": (1e-3, lambda i, tau: problems.gen_bpdn(k=32, n=128, spikes=10, seed=i, tau=tau)),
+    "tv-phantom": (0.01, lambda i, tau: problems.gen_tv_phantom(rows=16, cols=16, seed=i, tau=tau)),
+    "deblur": (5e-5, lambda i, tau: problems.gen_deblur(
+        problems.test_pattern(16, 16), mask_size=4, levels=2, seed=i, tau=tau)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_reference_maker_runs(perfbench, name):
+    _, workloads = perfbench
+    import make_reference
+
+    tau, make = TINY[name]
+    workload = dataclasses.replace(workloads.WORKLOADS[name], make=make)
+    reference = make_reference.reference_optimum(workload, 0, tau)
+    default = solver.solve(make(0, tau), solver.SolverConfig()).trace.summary.final_obj
+    assert np.isfinite(reference)
+    assert reference <= default

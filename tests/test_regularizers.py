@@ -335,26 +335,27 @@ class TestTvProxAgainstPlainLoop:
         with pytest.raises(FloatingPointError):
             tv_prox(u, 0.3, p0=p0)
 
-    def test_dual_field_within_unit_ball_after_each_projection(self, rng):
+    def test_dual_field_within_unit_ball_after_each_projection(self, rng, monkeypatch):
         # a long dual step pushes most pixels far outside the ball, and one
         # component much larger than the other makes |p_x| land on 1
+        monkeypatch.setattr(regularizers, "DUAL_STEP", 10.0)
         u = rng.standard_normal((16, 16)) * 100.0
         u[:, ::2] *= 1e-9
         p = None
         for _ in range(30):
-            _, p = tv_prox(u, 1e-3, p0=p, max_iters=1, tol=0.0, step=10.0)
+            _, p = tv_prox(u, 1e-3, p0=p, max_iters=1, tol=0.0)
             assert np.max(np.abs(p)) <= 1.0
         assert np.max(np.abs(p)) == 1.0
 
 
 class TestTvOperators:
-    def test_divergence_into_buffer_matches_fresh_array(self, rng):
+    def test_divergence_fills_and_returns_its_out_buffer(self, rng):
         px = rng.standard_normal((5, 7))
         py = rng.standard_normal((5, 7))
         out = np.full((5, 7), np.nan)  # stale contents must not leak through
-        div = tv_divergence(px, py, out=out)
+        div = tv_divergence(px, py, out=out, work=np.full((5, 7), np.nan))
         assert div is out
-        assert div.tobytes() == tv_divergence(px, py).tobytes()
+        assert div.tobytes() == _tv_divergence(px, py).tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (8, 8), (9, 8)])
     @pytest.mark.parametrize("view", ["contiguous", "transposed", "every-other-column"])
@@ -381,7 +382,8 @@ class TestTvOperators:
         g = tv_gradient(z, out=buf((2,) + shape))
         gx, gy = _tv_gradient(z)
         assert g.tobytes() == np.stack([gx, gy]).tobytes()
-        div = tv_divergence(px, py, out=buf(shape), work=buf(shape))
+        # the divergence has no fresh-array mode: its buffers are always given
+        div = tv_divergence(px, py, out=np.full(shape, np.nan), work=np.full(shape, np.nan))
         assert div.tobytes() == _tv_divergence(px, py).tobytes()
         value = tv_value_2d(z, work=buf((2,) + shape))
         # summed in row-major order whatever the input's layout
@@ -393,9 +395,9 @@ class TestTvOperators:
         with pytest.raises(ValueError, match="contiguous"):
             tv_gradient(z, out=np.empty((2, 4, 12))[:, :, ::2])
         with pytest.raises(ValueError, match="contiguous"):
-            tv_divergence(z, z, out=np.empty((6, 4)).T)
+            tv_divergence(z, z, out=np.empty((6, 4)).T, work=np.empty((4, 6)))
         with pytest.raises(ValueError, match="contiguous"):
-            tv_divergence(z, z, work=np.empty((6, 4)).T)
+            tv_divergence(z, z, out=np.empty((4, 6)), work=np.empty((6, 4)).T)
 
     def test_gradient_divergence_adjoint_identity(self, rng):
         z = rng.standard_normal((5, 7))
@@ -403,7 +405,7 @@ class TestTvOperators:
         py = rng.standard_normal((5, 7))
         gx, gy = tv_gradient(z)
         lhs = float(np.sum(gx * px) + np.sum(gy * py))
-        rhs = -float(np.sum(z * tv_divergence(px, py)))
+        rhs = -float(np.sum(z * tv_divergence(px, py, out=np.empty_like(z), work=np.empty_like(z))))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_tv_value_matches_reference(self, rng):
@@ -467,6 +469,15 @@ class TestWeight:
         with pytest.raises(ValueError, match="tau"):
             KINDS[kind](bad)
         with pytest.raises(ValueError, match="tau"):
+            KINDS[kind](0.5).with_tau(bad)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None], ids=repr)
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_non_number_tau_rejected(self, kind, bad):
+        # a bool or a numeric string is not a weight, though float() takes it
+        with pytest.raises(ValueError, match="tau must be a number"):
+            KINDS[kind](bad)
+        with pytest.raises(ValueError, match="tau must be a number"):
             KINDS[kind](0.5).with_tau(bad)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
