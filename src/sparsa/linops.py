@@ -104,11 +104,26 @@ class PartialFourier2D(LinearOperator):
     vector is ``[real parts; imaginary parts]`` of the masked
     coefficients, taken in row-major mask order, which keeps the whole
     pipeline real-valued with adjoint ``A^T y = Re(F^H zerofill(y))``.
+
+    Images are real, so only the half spectrum of real FFTs
+    (``cols // 2 + 1`` columns) is computed. Set-up maps each sample to
+    a flat position in that half once, read-only: a sample whose column
+    lies in the half is read there, any other is read as the conjugate of
+    its mirror ``(-r mod rows, -c mod cols)``. The adjoint scatters
+    ``c/2`` at each sample ``k`` and ``conj(c)/2`` at ``-k``, wherever
+    those lie in the half (the DC and Nyquist columns hold both), which
+    builds the Hermitian half spectrum whose inverse real FFT is
+    ``Re(F^H zerofill(y))``. Each call runs the axis transforms of
+    ``rfft2``/``irfft2`` in one fresh spectrum.
     """
 
     kind = "partial-fourier-2d"
 
     def __init__(self, rows: int, cols: int, mask):
+        for name, value in (("rows", rows), ("cols", cols)):
+            check_integer(name, value)
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (rows, cols):
             raise ValueError("mask shape must be (rows, cols)")
@@ -117,22 +132,49 @@ class PartialFourier2D(LinearOperator):
             raise ValueError("mask selects no Fourier locations")
         self.rows = int(rows)
         self.cols = int(cols)
-        self._idx = idx
+        self._half_cols = self.cols // 2 + 1
+        r, c = np.divmod(idx, self.cols)
+        at = r * self._half_cols + c
+        mirror_c = -c % self.cols
+        mirror_at = (-r % self.rows) * self._half_cols + mirror_c
+        in_half = c < self._half_cols
+        mirror_in_half = mirror_c < self._half_cols
         self._scale = 1.0 / np.sqrt(rows * cols)
+        self._adjoint_scale = 0.5 * np.sqrt(rows * cols)
+        self._read_at = np.where(in_half, at, mirror_at)
+        # a mirrored read is conjugated: its imaginary part changes sign
+        self._imag_scale = np.where(in_half, self._scale, -self._scale)
+        # samples k (resp. -k) that lie in the half, and where; distinct
+        # samples give distinct targets within each map
+        self._own = np.flatnonzero(in_half)
+        self._own_at = at[in_half]
+        self._mirrored = np.flatnonzero(mirror_in_half)
+        self._mirrored_at = mirror_at[mirror_in_half]
+        for table in (self._read_at, self._imag_scale, self._own, self._own_at,
+                      self._mirrored, self._mirrored_at):
+            table.setflags(write=False)
         super().__init__(rows * cols, 2 * idx.size)
 
     def _apply(self, x):
-        spectrum = np.fft.fft2(x.reshape(self.rows, self.cols)) * self._scale
-        picked = spectrum.ravel()[self._idx]
-        return np.concatenate([picked.real, picked.imag])
+        spectrum = np.empty((self.rows, self._half_cols), dtype=complex)
+        np.fft.rfft2(x.reshape(self.rows, self.cols), out=spectrum)
+        picked = spectrum.ravel()[self._read_at]
+        m = picked.size
+        out = np.empty(2 * m)
+        np.multiply(picked.real, self._scale, out=out[:m])
+        np.multiply(picked.imag, self._imag_scale, out=out[m:])
+        return out
 
     def _adjoint(self, y):
-        m = self._idx.size
+        m = y.size // 2
         coeffs = y[:m] + 1j * y[m:]
-        spectrum = np.zeros(self.rows * self.cols, dtype=complex)
-        spectrum[self._idx] = coeffs
-        img = np.fft.ifft2(spectrum.reshape(self.rows, self.cols))
-        return np.real(img).ravel() * (self.rows * self.cols) * self._scale
+        coeffs *= self._adjoint_scale
+        spectrum = np.zeros((self.rows, self._half_cols), dtype=complex)
+        flat = spectrum.ravel()
+        flat[self._own_at] += coeffs[self._own]
+        flat[self._mirrored_at] += np.conjugate(coeffs[self._mirrored])
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        return np.fft.irfft(spectrum, n=self.cols, axis=1).ravel()
 
 
 class Blur2D(LinearOperator):

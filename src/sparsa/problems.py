@@ -213,6 +213,8 @@ def gen_deblur(
     elif isinstance(image, (str, os.PathLike)):
         image = read_pgm(image)
     image = np.asarray(image, dtype=float)
+    if image.ndim != 2:
+        raise ValueError(f"image must be a 2-D array, got shape {image.shape}")
     rows, cols = image.shape
     _, _, rng_noise = _substreams(seed)
     blur = Blur2D(rows, cols, mask_size)
@@ -250,6 +252,8 @@ def gen_tv_phantom(
         raise ValueError(f"phantom generator expects a nonempty square grid, got {rows}x{cols}")
     if not 0 < sampling_ratio <= 1:
         raise ValueError(f"sampling_ratio must be in (0, 1], got {sampling_ratio!r}")
+    if num_lines is not None and num_lines < 0:
+        raise ValueError(f"num_lines must be >= 0, got {num_lines!r}")
     _check_noise_std(noise_std)
     rng_matrix, _, rng_noise = _substreams(seed)
     phantom = shepp_logan(rows, cols)

@@ -207,6 +207,27 @@ def box_blur_rfft2(x, rows, cols, mask_size, adjoint=False):
     return np.fft.irfft2(spectrum, s=(rows, cols)).ravel()
 
 
+def partial_fourier_complex_fft(v, rows, cols, mask, adjoint=False):
+    """The masked unitary DFT through the full complex spectrum.
+
+    Forward: the row-major masked entries of ``fft2(image) / sqrt(rows*cols)``,
+    stacked ``[real; imag]``. Adjoint: the coefficients ``y[:m] + 1j*y[m:]``
+    zero-filled at the mask, then ``Re(ifft2) * sqrt(rows*cols)``.
+    ``sparsa.linops.PartialFourier2D`` does the same on the half spectrum of
+    real FFTs; this is the reference it is checked against.
+    """
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
+    scale = 1.0 / np.sqrt(rows * cols)
+    v = np.asarray(v, dtype=float)
+    if not adjoint:
+        picked = (np.fft.fft2(v.reshape(rows, cols)) * scale).ravel()[idx]
+        return np.concatenate([picked.real, picked.imag])
+    spectrum = np.zeros(rows * cols, dtype=complex)
+    spectrum[idx] = v[: idx.size] + 1j * v[idx.size :]
+    img = np.fft.ifft2(spectrum.reshape(rows, cols))
+    return np.real(img).ravel() * (rows * cols) * scale
+
+
 def haar_analysis_quadrants(image, levels):
     """One Haar analysis level per loop, each quadrant from its own formula.
 

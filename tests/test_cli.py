@@ -248,6 +248,10 @@ class TestBadInput:
             ("solve", with_params(BPDN, n=0, spikes=0), None, "n >= 1"),
             ("solve", with_params(GROUP, num_groups=0), None, "num_groups must be"),
             ("solve", with_params(TV, rows=0, cols=0), None, "nonempty square grid"),
+            ("solve", with_params(TV, num_lines=-3), None, "num_lines must be >= 0"),
+            ("bench", {"generator": with_params(TV, num_lines=-3)}, None,
+             "num_lines must be >= 0"),
+            ("solve", with_params(DEBLUR, image=5), None, "image must be a 2-D array"),
         ],
         ids=[
             "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
@@ -259,7 +263,8 @@ class TestBadInput:
             "bench-bool-tolerance", "bool-tau", "bench-string-tau",
             "tv-nan-noise", "tv-negative-noise", "bpdn-nan-noise", "deblur-nan-noise",
             "tv-negative-sampling-ratio", "bpdn-negative-spikes", "bpdn-zero-n", "group-zero-groups",
-            "tv-zero-rows",
+            "tv-zero-rows", "tv-negative-num-lines", "bench-tv-negative-num-lines",
+            "deblur-scalar-image",
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):

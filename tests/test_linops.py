@@ -8,6 +8,7 @@ from conftest import (
     box_blur_rfft2,
     haar_analysis_quadrants,
     haar_synthesis_quadrants,
+    partial_fourier_complex_fft,
 )
 from sparsa.linops import (
     Blur2D,
@@ -24,6 +25,7 @@ def all_concrete_ops(rng):
     return [
         DenseOperator(rng.standard_normal((5, 9))),
         PartialFourier2D(8, 8, rng.random((8, 8)) < 0.4),
+        PartialFourier2D(7, 9, rng.random((7, 9)) < 0.4),  # odd, non-square: no Nyquist column
         Blur2D(8, 8, 3),
         Blur2D(8, 8, 4),  # even kernel exercises the centering convention
         Blur2D(7, 9, 4),  # odd, non-square: irfft2 must be told the output shape
@@ -85,6 +87,62 @@ class TestPartialFourier:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             PartialFourier2D(4, 4, np.zeros((4, 4), dtype=bool))
+
+    @pytest.mark.parametrize("kind", ["random", "radial"])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(7, 9), (9, 7), (8, 5), (33, 64), (1, 5), (5, 1)],
+        ids=["7x9", "9x7", "8x5", "33x64", "1x5", "5x1"],
+    )
+    def test_matches_complex_fft_reference(self, rng, rows, cols, kind):
+        if kind == "radial":
+            mask = radial_mask(rows, cols)
+            assert np.array_equal(mask, np.roll(mask[::-1, ::-1], (1, 1), axis=(0, 1)))
+        else:
+            mask = rng.random((rows, cols)) < 0.4
+            mask.flat[rng.integers(rows * cols)] = True
+        op = PartialFourier2D(rows, cols, mask)
+        for _ in range(3):
+            x = rng.standard_normal(op.domain_dim)
+            y = rng.standard_normal(op.range_dim)
+            want_apply = partial_fourier_complex_fft(x, rows, cols, mask)
+            want_adjoint = partial_fourier_complex_fft(y, rows, cols, mask, adjoint=True)
+            assert np.max(np.abs(op.apply(x) - want_apply)) <= 1e-14
+            assert np.max(np.abs(op.adjoint(y) - want_adjoint)) <= 1e-14
+
+    def test_index_maps_read_only(self, rng):
+        op = PartialFourier2D(8, 8, rng.random((8, 8)) < 0.4)
+        for index_map in (op._read_at, op._own_at, op._mirrored_at):
+            with pytest.raises(ValueError):
+                index_map[0] = 0
+
+    @pytest.mark.parametrize(
+        "rows, cols, name, message",
+        [(4.0, 4, "rows", "must be an integer"), (True, 1, "rows", "must be an integer"),
+         (4, np.float64(4), "cols", "must be an integer"), (0, 4, "rows", "must be positive"),
+         (4, -1, "cols", "must be positive")],
+        ids=["float-rows", "bool-rows", "numpy-float-cols", "zero-rows", "negative-cols"],
+    )
+    def test_bad_size_rejected(self, rows, cols, name, message):
+        mask = np.ones((4, 4), dtype=bool)
+        with pytest.raises(ValueError, match=f"{name} {message}"):
+            PartialFourier2D(rows, cols, mask)
+
+
+def radial_mask(rows, cols, num_lines=4):
+    """Lines through DC in fft index order, plus the Nyquist row and column
+    of an even size: closed under ``k -> -k``, with the DC row and column."""
+    mask = np.zeros((rows, cols), dtype=bool)
+    t = np.arange(-max(rows, cols), max(rows, cols) + 1)
+    for angle in np.pi * np.arange(num_lines) / num_lines:
+        ii = np.rint(t * np.sin(angle)).astype(int) % rows
+        jj = np.rint(t * np.cos(angle)).astype(int) % cols
+        mask[ii, jj] = True
+    if rows % 2 == 0:
+        mask[rows // 2, :] = True
+    if cols % 2 == 0:
+        mask[:, cols // 2] = True
+    return mask
 
 
 class TestBlur:
@@ -261,8 +319,9 @@ class TestHaar:
             HaarSynthesis2D(*args)
 
 
-def peak_over_output(fn, x):
-    """Peak bytes traced during ``fn(x)``, as a multiple of the result's bytes."""
+def peak_over_output(fn, x, nbytes=None):
+    """Peak bytes traced during ``fn(x)``, as a multiple of ``nbytes``
+    (default: the result's bytes)."""
     fn(x)  # first call outside the trace, so one-time set-up is not counted
     tracemalloc.start()
     try:
@@ -271,7 +330,7 @@ def peak_over_output(fn, x):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    return peak / out.nbytes
+    return peak / (out.nbytes if nbytes is None else nbytes)
 
 
 class TestAllocationBudget:
@@ -279,7 +338,10 @@ class TestAllocationBudget:
 
     tracemalloc sees numpy's data allocations. The bounds are multiples of
     the result's bytes: the blur allocates only its result, and the Haar
-    synthesis its result and one scratch array of the same size.
+    synthesis its result and one scratch array of the same size. The
+    partial Fourier operator's are multiples of the image's bytes: one half
+    spectrum (about 1x) transformed in place, plus the sampled coefficients
+    (0.2x each at a 10% mask) and, for the adjoint, the image.
     """
 
     def test_blur_allocates_only_its_result(self, rng):
@@ -292,6 +354,14 @@ class TestAllocationBudget:
         op = HaarSynthesis2D(256, 256, 3)
         x = rng.standard_normal(op.domain_dim)
         assert peak_over_output(op.apply, x) <= 2.5
+
+    def test_partial_fourier_one_half_spectrum(self, rng):
+        op = PartialFourier2D(256, 256, rng.random((256, 256)) < 0.1)
+        image_bytes = op.domain_dim * 8
+        x = rng.standard_normal(op.domain_dim)
+        y = rng.standard_normal(op.range_dim)
+        assert peak_over_output(op.apply, x, image_bytes) <= 1.6
+        assert peak_over_output(op.adjoint, y, image_bytes) <= 2.5
 
 
 class TestCounting:

@@ -179,6 +179,13 @@ class TestDeblur:
             assert a.b.tobytes() == b.b.tobytes()
             assert a.x_true.tobytes() == b.x_true.tobytes()
 
+    @pytest.mark.parametrize("image", [5, [[[0.5]]]], ids=["scalar", "3-d"])
+    def test_image_not_2d_rejected(self, image):
+        with pytest.raises(ValueError, match="image must be a 2-D array"):
+            gen_deblur(image)
+        with pytest.raises(ValueError, match="image must be a 2-D array"):
+            GeneratorSpec("deblur", {"image": image}).make()
+
 
 class TestTvPhantom:
     def test_phantom_range_and_background(self):
@@ -231,6 +238,11 @@ class TestTvPhantom:
     def test_square_grid_required(self):
         with pytest.raises(ValueError):
             gen_tv_phantom(rows=16, cols=32, seed=0)
+
+    def test_negative_num_lines_rejected(self):
+        with pytest.raises(ValueError, match="num_lines must be >= 0"):
+            gen_tv_phantom(rows=8, cols=8, num_lines=-3)
+        gen_tv_phantom(rows=8, cols=8, num_lines=0)
 
 
 class TestGeneratorSpec:
