@@ -9,9 +9,19 @@ the benchmark harness.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .solver import check_integer
+
+
+def _check_image_size(rows, cols) -> None:
+    """Raise ``ValueError`` unless ``rows`` and ``cols`` are positive integers."""
+    for name, value in (("rows", rows), ("cols", cols)):
+        check_integer(name, value)
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 class LinearOperator:
@@ -22,7 +32,7 @@ class LinearOperator:
     construction except for the ``forward_count`` and ``adjoint_count``
     application counters, which only the public ``apply`` / ``adjoint``
     advance, and the scratch contents of a work buffer such as
-    :class:`Blur2D`'s spectrum. A returned array never shares memory with
+    :class:`Blur2D`'s window sums. A returned array never shares memory with
     such a buffer.
     """
 
@@ -120,10 +130,7 @@ class PartialFourier2D(LinearOperator):
     kind = "partial-fourier-2d"
 
     def __init__(self, rows: int, cols: int, mask):
-        for name, value in (("rows", rows), ("cols", cols)):
-            check_integer(name, value)
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        _check_image_size(rows, cols)
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (rows, cols):
             raise ValueError("mask shape must be (rows, cols)")
@@ -177,58 +184,102 @@ class PartialFourier2D(LinearOperator):
         return np.fft.irfft(spectrum, n=self.cols, axis=1).ravel()
 
 
+def _circular_add(out, a, da, b, db, n):
+    """``out[j] = a[j + da] + b[j + db]`` along rows of length ``n``, modulo ``n``.
+
+    ``out``, ``a`` and ``b`` are flat arrays of a whole number of rows, and
+    ``out`` is neither input. The row is cut where either index wraps. The
+    widest piece is one addition over the flattened arrays; its entries that
+    wrap from one row into the next land in the other pieces, which are then
+    written as 2-D slices.
+    """
+    cuts = sorted({0, n, -da % n, -db % n})
+    pieces = sorted(zip(cuts, cuts[1:]), key=lambda piece: piece[0] - piece[1])
+    lo, hi = pieces[0]
+    ia, ib = (lo + da) % n, (lo + db) % n
+    size = out.size - n + hi - lo
+    np.add(a[ia:ia + size], b[ib:ib + size], out=out[lo:lo + size])
+    out2, a2, b2 = out.reshape(-1, n), a.reshape(-1, n), b.reshape(-1, n)
+    for lo, hi in pieces[1:]:
+        ia, ib = (lo + da) % n, (lo + db) % n
+        np.add(a2[:, ia:ia + hi - lo], b2[:, ib:ib + hi - lo], out=out2[:, lo:hi])
+
+
+def _window_sums(v, m, start, n, unit, targets):
+    """Circular sums of ``m`` entries ``unit`` apart along rows of length ``n``.
+
+    Entry ``j`` of the result is the sum of ``v[j + unit * (start + t)]``
+    for ``t`` in ``range(m)``, indices modulo ``n``. The window is built by
+    binary doubling over the bits of ``m``: a window ``W_q`` of width ``q``
+    gives ``W_2q[j] = W_q[j] + W_q[j + q * unit]``, and a set bit adds one
+    more shifted copy of ``v`` (``W_q+1``). The first doubling reads ``v``
+    at both shifts, so ``W_1`` is never formed. The additions write to the
+    two ``targets`` in turn; the last one written is returned, or ``v``
+    itself when ``m == 1`` (then ``start`` is 0).
+    """
+    w, shift, width = v, start, 1
+    targets = itertools.cycle(targets)
+    for bit in bin(m)[3:]:
+        dst = next(targets)
+        _circular_add(dst, w, shift * unit, w, (shift + width) * unit, n)
+        w, shift, width = dst, 0, 2 * width
+        if bit == "1":
+            dst = next(targets)
+            _circular_add(dst, w, 0, v, (start + width) * unit, n)
+            w, width = dst, width + 1
+    return w
+
+
 class Blur2D(LinearOperator):
-    """Circular 2-D convolution with a uniform box kernel, via real FFTs.
+    """Circular 2-D convolution with a uniform box kernel, by window sums.
 
     The kernel is ``mask_size x mask_size`` with total weight 1, centered
-    at offsets ``arange(mask_size) - mask_size // 2`` in each direction.
-    Images are real, so only the half spectrum (``cols // 2 + 1``
-    columns) is carried. The half-spectrum transfer function is computed
-    once, read-only. Each application runs the axis transforms that
-    ``rfft2``/``irfft2`` make, in the same order, in one complex work
-    buffer held by the instance (its contents are scratch between calls);
-    only the real result is a fresh array. The adjoint conjugates the
-    spectrum before and after the multiply, which equals multiplying by
-    the conjugate transfer function bit for bit, so adjoint consistency is
-    exact even though an even-sized box is not symmetric under the
-    circular shift.
+    at offsets ``offs = arange(mask_size) - mask_size // 2`` in each
+    direction: ``y[i, j]`` is the mean of ``x[i - a, j - b]`` over ``a, b``
+    in ``offs``, indices modulo the image size. The adjoint reads
+    ``x[i + a, j + b]``: the same window with the opposite start.
+
+    The box is separable, so each application sums a circular window along
+    the columns of each row, then along the rows, by binary doubling
+    (``floor(log2 m) + popcount(m) - 1`` additions per direction). The
+    column additions run over the flattened image, and the entries that
+    wrap across rows are then written again. The additions ping-pong
+    between two image-size work buffers held by the instance (their
+    contents are scratch between calls) and the fresh result, which is
+    the only array allocated; the sums are scaled by ``1 / mask_size**2``
+    into it.
     """
 
     kind = "blur-2d"
 
     def __init__(self, rows: int, cols: int, mask_size: int = 8):
-        for name, value in (("rows", rows), ("cols", cols), ("mask_size", mask_size)):
-            check_integer(name, value)
+        _check_image_size(rows, cols)
+        check_integer("mask_size", mask_size)
         if mask_size < 1 or mask_size > min(rows, cols):
             raise ValueError("mask_size must be in [1, min(rows, cols)]")
-        offs = np.arange(mask_size) - mask_size // 2
-        padded = np.zeros((rows, cols))
-        padded[np.ix_(offs % rows, offs % cols)] = 1.0 / mask_size**2
         self.rows = int(rows)
         self.cols = int(cols)
-        self._transfer = np.fft.rfft2(padded)
-        self._transfer.setflags(write=False)
-        self._spectrum = np.empty_like(self._transfer)
+        self.mask_size = int(mask_size)
+        self._work = (np.empty(rows * cols), np.empty(rows * cols))
         super().__init__(rows * cols, rows * cols)
 
-    def _convolve(self, x, adjoint):
-        spec = self._spectrum
-        np.fft.rfft(x.reshape(self.rows, self.cols), axis=1, out=spec)
-        np.fft.fft(spec, axis=0, out=spec)
-        if adjoint:
-            np.conjugate(spec, out=spec)
-        spec *= self._transfer
-        if adjoint:
-            np.conjugate(spec, out=spec)
-        np.fft.ifft(spec, axis=0, out=spec)
-        # without n=, an odd cols would come back as cols - 1 columns
-        return np.fft.irfft(spec, n=self.cols, axis=1).ravel()
+    def _convolve(self, x, start):
+        m, size = self.mask_size, self.rows * self.cols
+        out = np.empty(size)
+        first, second = self._work
+        along_cols = _window_sums(x, m, start, self.cols, 1, (first, second))
+        spare = second if along_cols is first else first
+        # the row pass shifts whole rows of the image taken as one long row;
+        # its sums end in out (for m = 8, so the scaling runs in place) or spare
+        summed = _window_sums(along_cols, m, start, size, self.cols, (out, spare))
+        np.multiply(summed, 1.0 / m**2, out=out)
+        return out
 
     def _apply(self, x):
-        return self._convolve(x, adjoint=False)
+        return self._convolve(x, self.mask_size // 2 - self.mask_size + 1)
 
     def _adjoint(self, y):
-        return self._convolve(y, adjoint=True)
+        return self._convolve(y, -(self.mask_size // 2))
 
 
 def haar_analysis_2d(image: np.ndarray, levels: int) -> np.ndarray:
@@ -299,8 +350,8 @@ class HaarSynthesis2D(LinearOperator):
     kind = "haar-dwt-2d"
 
     def __init__(self, rows: int, cols: int, levels: int):
-        for name, value in (("rows", rows), ("cols", cols), ("levels", levels)):
-            check_integer(name, value)
+        _check_image_size(rows, cols)
+        check_integer("levels", levels)
         if levels < 0:
             raise ValueError("levels must be >= 0")
         if rows % (1 << levels) or cols % (1 << levels):

@@ -174,8 +174,8 @@ def box_blur_complex_fft(x, rows, cols, mask_size, adjoint=False):
 
     ``fft2`` of the image times ``fft2`` of the zero-padded kernel (offsets
     ``arange(m) - m // 2``, weight ``1/m**2``), conjugated for the adjoint,
-    then the real part of ``ifft2``. ``sparsa.linops.Blur2D`` does the same
-    on the half spectrum of real FFTs; this is the reference it is checked
+    then the real part of ``ifft2``. ``sparsa.linops.Blur2D`` computes the
+    same operator by window sums; this is the reference it is checked
     against.
     """
     offs = np.arange(mask_size) - mask_size // 2
@@ -188,23 +188,34 @@ def box_blur_complex_fft(x, rows, cols, mask_size, adjoint=False):
     return np.real(np.fft.ifft2(np.fft.fft2(img) * transfer)).ravel()
 
 
-def box_blur_rfft2(x, rows, cols, mask_size, adjoint=False):
-    """The circular box blur as one ``rfft2`` / ``irfft2`` pair.
+def box_blur_window_sums(x, rows, cols, mask_size, adjoint=False):
+    """The circular box blur as window sums of ``np.roll`` copies.
 
-    The half-spectrum transfer function of the zero-padded kernel,
-    conjugated for the adjoint, multiplies ``rfft2`` of the image;
-    ``irfft2`` is told the output shape. ``sparsa.linops.Blur2D`` runs the
-    same axis transforms in a held buffer and must match this bit for bit.
+    Along the columns, then along the rows, a window of ``mask_size``
+    entries starting at offset ``mask_size // 2 - mask_size + 1`` (the
+    adjoint: ``-(mask_size // 2)``) is summed by binary doubling: ``W_1``
+    is the rolled image, ``W_2q = W_q + W_q`` rolled by ``q``, and each
+    set bit of ``mask_size`` after the leading one adds one more rolled
+    copy of the pass input. The sums are then scaled by
+    ``1 / mask_size**2``. ``sparsa.linops.Blur2D`` makes the same
+    additions in the same order and must match this bit for bit.
     """
-    offs = np.arange(mask_size) - mask_size // 2
-    padded = np.zeros((rows, cols))
-    padded[np.ix_(offs % rows, offs % cols)] = 1.0 / mask_size**2
-    transfer = np.fft.rfft2(padded)
-    if adjoint:
-        transfer = np.conj(transfer)
-    spectrum = np.fft.rfft2(np.asarray(x, dtype=float).reshape(rows, cols))
-    spectrum *= transfer
-    return np.fft.irfft2(spectrum, s=(rows, cols)).ravel()
+    m = mask_size
+    start = -(m // 2) if adjoint else m // 2 - m + 1
+
+    def window(v, axis):
+        w = np.roll(v, -start, axis)
+        width = 1
+        for bit in bin(m)[3:]:
+            w = w + np.roll(w, -width, axis)
+            width *= 2
+            if bit == "1":
+                w = w + np.roll(v, -(start + width), axis)
+                width += 1
+        return w
+
+    img = np.asarray(x, dtype=float).reshape(rows, cols)
+    return (window(window(img, 1), 0) * (1.0 / m**2)).ravel()
 
 
 def partial_fourier_complex_fft(v, rows, cols, mask, adjoint=False):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (
     box_blur_complex_fft,
-    box_blur_rfft2,
+    box_blur_window_sums,
     haar_analysis_quadrants,
     haar_synthesis_quadrants,
     partial_fourier_complex_fft,
@@ -28,7 +28,7 @@ def all_concrete_ops(rng):
         PartialFourier2D(7, 9, rng.random((7, 9)) < 0.4),  # odd, non-square: no Nyquist column
         Blur2D(8, 8, 3),
         Blur2D(8, 8, 4),  # even kernel exercises the centering convention
-        Blur2D(7, 9, 4),  # odd, non-square: irfft2 must be told the output shape
+        Blur2D(7, 9, 4),  # odd, non-square: rows and columns wrap at different widths
         HaarSynthesis2D(8, 8, 2),
         HaarSynthesis2D(16, 32, 4),  # non-square grids
         HaarSynthesis2D(12, 20, 2),
@@ -68,6 +68,16 @@ class TestAdjointConsistency:
                 rhs = float(x @ op.adjoint(y))
                 bound = 1e-8 * (1 + np.linalg.norm(x) * np.linalg.norm(y))
                 assert abs(lhs - rhs) <= bound, op.kind
+
+    @pytest.mark.parametrize("m", [8, 7], ids=["m8", "m7"])
+    def test_blur_256_dot_product_identity(self, rng, m):
+        op = Blur2D(256, 256, m)
+        for _ in range(5):
+            x = rng.standard_normal(op.domain_dim)
+            y = rng.standard_normal(op.range_dim)
+            lhs = float(op.apply(x) @ y)
+            rhs = float(x @ op.adjoint(y))
+            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 class TestPartialFourier:
@@ -186,15 +196,17 @@ class TestBlur:
 
     @pytest.mark.parametrize(
         "rows, cols, m",
-        [(256, 256, 8), (7, 9, 4), (33, 64, 5), (64, 33, 6), (1, 5, 1), (5, 1, 1)],
-        ids=["256x256", "7x9", "33x64", "64x33", "1x5", "5x1"],
+        [(256, 256, 8), (7, 9, 4), (33, 64, 5), (64, 33, 6), (1, 5, 1), (5, 1, 1),
+         (9, 7, 3), (9, 7, 5), (9, 7, 6), (9, 7, 7), (12, 12, 12)],
+        ids=["256x256", "7x9", "33x64", "64x33", "1x5", "5x1",
+             "9x7-m3", "9x7-m5", "9x7-m6", "9x7-m7", "12x12-full-width"],
     )
-    def test_byte_equal_to_rfft2_formula(self, rng, rows, cols, m):
+    def test_byte_equal_to_window_sum_formula(self, rng, rows, cols, m):
         op = Blur2D(rows, cols, m)
         for _ in range(3):
             x = rng.standard_normal(rows * cols)
             for adjoint, got in ((False, op.apply(x)), (True, op.adjoint(x))):
-                want = box_blur_rfft2(x, rows, cols, m, adjoint)
+                want = box_blur_window_sums(x, rows, cols, m, adjoint)
                 assert got.tobytes() == want.tobytes(), f"adjoint={adjoint}"
 
     @pytest.mark.parametrize("compose", [False, True], ids=["blur", "blur-of-haar"])
@@ -210,11 +222,6 @@ class TestBlur:
         assert np.array_equal(forward, kept[0])
         assert np.array_equal(backward, kept[1])
 
-    def test_transfer_functions_read_only(self):
-        op = Blur2D(8, 8, 4)
-        with pytest.raises(ValueError):
-            op._transfer[0, 0] = 0.0
-
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError):
             Blur2D(4, 4, 5)
@@ -227,6 +234,14 @@ class TestBlur:
     )
     def test_non_integer_size_rejected(self, args, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Blur2D(*args)
+
+    @pytest.mark.parametrize(
+        "args, name", [((0, 5, 1), "rows"), ((-2, 4, 1), "rows"), ((4, 0, 1), "cols")],
+        ids=["zero-rows", "negative-rows", "zero-cols"],
+    )
+    def test_non_positive_size_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
             Blur2D(*args)
 
 
@@ -318,6 +333,14 @@ class TestHaar:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             HaarSynthesis2D(*args)
 
+    @pytest.mark.parametrize(
+        "args, name", [((-4, -4, 1), "rows"), ((0, 4, 0), "rows"), ((4, -2, 1), "cols")],
+        ids=["negative-both", "zero-rows", "negative-cols"],
+    )
+    def test_non_positive_size_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            HaarSynthesis2D(*args)
+
 
 def peak_over_output(fn, x, nbytes=None):
     """Peak bytes traced during ``fn(x)``, as a multiple of ``nbytes``
@@ -341,7 +364,8 @@ class TestAllocationBudget:
     synthesis its result and one scratch array of the same size. The
     partial Fourier operator's are multiples of the image's bytes: one half
     spectrum (about 1x) transformed in place, plus the sampled coefficients
-    (0.2x each at a 10% mask) and, for the adjoint, the image.
+    (0.2x each at a 10% mask) and, for the adjoint, the image. What the
+    blur holds between calls, its two work buffers, is bounded in images.
     """
 
     def test_blur_allocates_only_its_result(self, rng):
@@ -349,6 +373,13 @@ class TestAllocationBudget:
         x = rng.standard_normal(op.domain_dim)
         assert peak_over_output(op.apply, x) <= 1.1
         assert peak_over_output(op.adjoint, x) <= 1.1
+
+    def test_blur_holds_two_images(self):
+        op = Blur2D(256, 256, 8)
+        held = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        held += [a for v in vars(op).values() if isinstance(v, tuple)
+                 for a in v if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in held) <= 2.0 * op.domain_dim * 8
 
     def test_haar_synthesis_one_scratch(self, rng):
         op = HaarSynthesis2D(256, 256, 3)

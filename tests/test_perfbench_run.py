@@ -4,7 +4,7 @@
 and, under continuation, its ``stages``. These tests call its
 ``run_solve`` on a small spike-recovery cell, plain and with continuation,
 and on a small deblur cell, so a refactor that breaks one of those names,
-or the FFT/Haar operator the deblur workload solves through, fails here
+or the blur/Haar operator the deblur workload solves through, fails here
 rather than in a benchmark run. ``perfbench/make_reference.py`` passes the
 TV regularizer's inner settings and ``problem.replaced``; its
 ``reference_optimum`` runs here on each workload at a tiny size.
