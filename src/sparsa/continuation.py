@@ -8,7 +8,6 @@ matvecs than attacking the target weight directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,9 +36,7 @@ class ContinuationSchedule:
     tau_target: float
 
     def __post_init__(self):
-        check_real("tau_target", self.tau_target)
-        if not (math.isfinite(self.tau_target) and self.tau_target > 0):
-            raise ValueError(f"tau_target must be positive and finite, got {self.tau_target!r}")
+        check_real("tau_target", self.tau_target, positive=True)
 
     def stages(self, scale: float) -> list[float]:
         """Strictly decreasing weights from the scale down to the target."""

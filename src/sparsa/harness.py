@@ -11,7 +11,6 @@ reference optimum.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -98,14 +97,9 @@ class RateFit:
         return asdict(self)
 
 
-def _check_phi_star(phi_star: float) -> None:
-    if not math.isfinite(phi_star):
-        raise ValueError(f"phi_star must be finite, got {phi_star!r}")
-
-
 def fit_rates(trace: Trace, phi_star: float, burn_in: int | None = None) -> RateFit:
     """Run both fits on a trace's objective errors against a finite ``phi_star``."""
-    _check_phi_star(phi_star)
+    phi_star = check_real("phi_star", phi_star)
     errors = trace.objective_values(include_final=False) - phi_star
     if burn_in is None:
         burn_in = default_burn_in(errors.size)
@@ -129,7 +123,7 @@ def error_vs_matvec_curve(trace: Trace, phi_star: float) -> np.ndarray:
     observed in the trace by more than 1e-9, otherwise the reference
     optimum is inconsistent.
     """
-    _check_phi_star(phi_star)
+    phi_star = check_real("phi_star", phi_star)
     objs = trace.objective_values(include_final=False)
     best = min(
         float(objs.min()),
@@ -202,7 +196,8 @@ class ExperimentSpec:
     Repetition r generates the problem once, with seed
     ``generator.seed + r``, and every (tolerance, variant) cell solves that
     same instance (paired comparison). Sharing it is safe: each solve
-    counts its own matvecs and owns its prox state.
+    counts its own matvecs and owns its prox state. A cell stops at its
+    tolerance, so a variant's config must leave ``eps`` at its default.
     """
 
     generator: GeneratorSpec
@@ -213,18 +208,19 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.variants or not self.tolerances:
             raise ValueError("an experiment needs at least one variant and one tolerance")
-        for eps in self.tolerances:
-            check_real("tolerances", eps)
-        self.tolerances = [float(eps) for eps in self.tolerances]
-        check_integer("repetitions", self.repetitions)
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        self.tolerances = [check_real("tolerances", eps) for eps in self.tolerances]
+        check_integer("repetitions", self.repetitions, minimum=1)
         if len({v.file_stem for v in self.variants}) < len(self.variants):
             names = [v.name for v in self.variants]
             raise ValueError(f"variant names must stay distinct with '/' read as '-': {names}")
-        for variant in self.variants:  # build every cell's config: a bad tolerance fails here
-            for eps in self.tolerances:
-                variant.config.replaced(eps=eps)
+        for variant in self.variants:
+            if variant.config.eps != SolverConfig.eps:
+                raise ValueError(
+                    f"variant {variant.name!r} sets eps={variant.config.eps!r}, but every cell "
+                    "runs at its tolerance: list it in tolerances instead"
+                )
+        for eps in self.tolerances:  # every cell's config: a bad tolerance fails here
+            SolverConfig(eps=eps)
         # trace files and table rows are keyed by the tolerance as :g prints it
         labels = [f"{eps:g}" for eps in self.tolerances]
         colliding = [eps for eps, label in zip(self.tolerances, labels) if labels.count(label) > 1]

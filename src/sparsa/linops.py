@@ -16,14 +16,6 @@ import numpy as np
 from .solver import check_integer
 
 
-def _check_image_size(rows, cols) -> None:
-    """Raise ``ValueError`` unless ``rows`` and ``cols`` are positive integers."""
-    for name, value in (("rows", rows), ("cols", cols)):
-        check_integer(name, value)
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-
-
 class LinearOperator:
     """Base class for matrix-free operators.
 
@@ -39,10 +31,8 @@ class LinearOperator:
     kind = "abstract"
 
     def __init__(self, domain_dim: int, range_dim: int):
-        if domain_dim <= 0 or range_dim <= 0:
-            raise ValueError("operator dimensions must be positive")
-        self.domain_dim = int(domain_dim)
-        self.range_dim = int(range_dim)
+        self.domain_dim = check_integer("domain_dim", domain_dim, minimum=1)
+        self.range_dim = check_integer("range_dim", range_dim, minimum=1)
         self.forward_count = 0
         self.adjoint_count = 0
 
@@ -87,15 +77,21 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Explicit matrix operator."""
+    """Explicit matrix operator.
+
+    A read-only float64 array that owns its data is kept, since nothing can
+    write to it; anything else (a writeable array, a view) is copied.
+    """
 
     kind = "dense"
 
     def __init__(self, matrix):
-        matrix = np.array(matrix, dtype=float)
+        float64 = type(matrix) is np.ndarray and matrix.dtype == np.float64
+        if not (float64 and matrix.flags.owndata and not matrix.flags.writeable):
+            matrix = np.array(matrix, dtype=float)
+            matrix.setflags(write=False)
         if matrix.ndim != 2:
             raise ValueError("dense operator needs a 2-D matrix")
-        matrix.setflags(write=False)
         self.matrix = matrix
         super().__init__(matrix.shape[1], matrix.shape[0])
 
@@ -130,15 +126,14 @@ class PartialFourier2D(LinearOperator):
     kind = "partial-fourier-2d"
 
     def __init__(self, rows: int, cols: int, mask):
-        _check_image_size(rows, cols)
+        self.rows = rows = check_integer("rows", rows, minimum=1)
+        self.cols = cols = check_integer("cols", cols, minimum=1)
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (rows, cols):
             raise ValueError("mask shape must be (rows, cols)")
         idx = np.flatnonzero(mask.ravel())
         if idx.size == 0:
             raise ValueError("mask selects no Fourier locations")
-        self.rows = int(rows)
-        self.cols = int(cols)
         self._half_cols = self.cols // 2 + 1
         r, c = np.divmod(idx, self.cols)
         at = r * self._half_cols + c
@@ -253,13 +248,11 @@ class Blur2D(LinearOperator):
     kind = "blur-2d"
 
     def __init__(self, rows: int, cols: int, mask_size: int = 8):
-        _check_image_size(rows, cols)
-        check_integer("mask_size", mask_size)
-        if mask_size < 1 or mask_size > min(rows, cols):
+        self.rows = rows = check_integer("rows", rows, minimum=1)
+        self.cols = cols = check_integer("cols", cols, minimum=1)
+        self.mask_size = check_integer("mask_size", mask_size, minimum=1)
+        if self.mask_size > min(rows, cols):
             raise ValueError("mask_size must be in [1, min(rows, cols)]")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.mask_size = int(mask_size)
         self._work = (np.empty(rows * cols), np.empty(rows * cols))
         super().__init__(rows * cols, rows * cols)
 
@@ -350,17 +343,13 @@ class HaarSynthesis2D(LinearOperator):
     kind = "haar-dwt-2d"
 
     def __init__(self, rows: int, cols: int, levels: int):
-        _check_image_size(rows, cols)
-        check_integer("levels", levels)
-        if levels < 0:
-            raise ValueError("levels must be >= 0")
+        self.rows = rows = check_integer("rows", rows, minimum=1)
+        self.cols = cols = check_integer("cols", cols, minimum=1)
+        self.levels = levels = check_integer("levels", levels, minimum=0)
         if rows % (1 << levels) or cols % (1 << levels):
             raise ValueError(
                 f"image dims ({rows}, {cols}) not divisible by 2^{levels}"
             )
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.levels = int(levels)
         super().__init__(rows * cols, rows * cols)
 
     def _apply(self, x):

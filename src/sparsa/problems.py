@@ -50,11 +50,6 @@ def linf(v) -> float:
     return float(np.max(np.abs(v)))
 
 
-def _check_noise_std(noise_std) -> None:
-    if not (np.isfinite(noise_std) and noise_std >= 0):
-        raise ValueError(f"noise_std must be nonnegative and finite, got {noise_std!r}")
-
-
 @dataclass
 class LeastSquaresProblem:
     """Data term 0.5 ||A x - b||^2 plus a convex regularizer.
@@ -127,9 +122,10 @@ def gen_bpdn(
     """
     if n < 1 or not 0 <= spikes <= n:
         raise ValueError(f"spikes must be in [0, n] with n >= 1, got spikes={spikes!r}, n={n!r}")
-    _check_noise_std(noise_std)
+    noise_std = check_real("noise_std", noise_std, minimum=0)
     rng_matrix, rng_signal, rng_noise = _substreams(seed)
     A = rng_matrix.normal(0.0, np.sqrt(1.0 / (2 * n)), size=(k, n))
+    A.setflags(write=False)  # DenseOperator keeps it without a copy
     x_true = np.zeros(n)
     if spikes > 0:
         support = rng_signal.choice(n, size=spikes, replace=False)
@@ -163,15 +159,18 @@ def gen_group(
     ``active_groups`` are filled with unit Gaussians, and the group-l2
     weight is ``tau_coef * ||A^T b||_inf``.
     """
+    if k > n:
+        raise ValueError(f"k must be <= n for row-orthonormal sensing, got k={k!r}, n={n!r}")
     if num_groups < 1 or n % num_groups:
         raise ValueError(f"num_groups must be a positive divisor of n, got {num_groups!r}")
     if not 0 <= active_groups <= num_groups:
         raise ValueError(f"active_groups must be in [0, num_groups], got {active_groups!r}")
-    _check_noise_std(noise_std)
+    noise_std = check_real("noise_std", noise_std, minimum=0)
     rng_matrix, rng_signal, rng_noise = _substreams(seed)
     G = rng_matrix.standard_normal((k, n))
     Q, _ = np.linalg.qr(G.T)
     A = np.ascontiguousarray(Q.T)
+    A.setflags(write=False)
     size = n // num_groups
     groups = [np.arange(i * size, (i + 1) * size) for i in range(num_groups)]
     x_true = np.zeros(n)
@@ -207,7 +206,7 @@ def gen_deblur(
     blur composed with Haar synthesis. Starts from the analysis
     transform of the observation, with an l1 coefficient penalty.
     """
-    _check_noise_std(noise_std)
+    noise_std = check_real("noise_std", noise_std, minimum=0)
     if image is None:
         image = test_pattern(rows, cols)
     elif isinstance(image, (str, os.PathLike)):
@@ -250,11 +249,12 @@ def gen_tv_phantom(
     """
     if rows != cols or rows < 1:
         raise ValueError(f"phantom generator expects a nonempty square grid, got {rows}x{cols}")
-    if not 0 < sampling_ratio <= 1:
+    sampling_ratio = check_real("sampling_ratio", sampling_ratio, positive=True)
+    if sampling_ratio > 1:
         raise ValueError(f"sampling_ratio must be in (0, 1], got {sampling_ratio!r}")
-    if num_lines is not None and num_lines < 0:
-        raise ValueError(f"num_lines must be >= 0, got {num_lines!r}")
-    _check_noise_std(noise_std)
+    if num_lines is not None:
+        num_lines = check_integer("num_lines", num_lines, minimum=0)
+    noise_std = check_real("noise_std", noise_std, minimum=0)
     rng_matrix, _, rng_noise = _substreams(seed)
     phantom = shepp_logan(rows, cols)
     if num_lines is None:
@@ -381,8 +381,9 @@ class GeneratorSpec:
 
     An unknown family, a param the family's generator does not take, a
     non-integer value for the seed or any other ``int`` parameter, or a
-    non-number for a ``float`` parameter fails here, before anything is
-    generated. A parameter annotated ``... | None`` also takes ``None``.
+    non-number, NaN or infinity for a ``float`` parameter fails here,
+    before anything is generated. A parameter annotated ``... | None``
+    also takes ``None``.
     """
 
     family: str

@@ -46,7 +46,7 @@ class Regularizer:
     kind = "abstract"
 
     def __init__(self, tau: float):
-        self.tau = _check_tau(tau)
+        self.tau = check_real("tau", tau, minimum=0)
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -72,19 +72,11 @@ class Regularizer:
         sharing is safe.
         """
         twin = copy.copy(self)
-        twin.tau = _check_tau(tau)
+        twin.tau = check_real("tau", tau, minimum=0)
         return twin
 
     def _check_dim(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
-
-
-def _check_tau(tau) -> float:
-    check_real("tau", tau)
-    tau = float(tau)
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
-    return tau
 
 
 class ZeroRegularizer(Regularizer):
@@ -377,19 +369,12 @@ class TVIsoRegularizer(Regularizer):
     ):
         super().__init__(tau)
         rows, cols = grid
-        check_integer("grid rows", rows)
-        check_integer("grid cols", cols)
-        if rows < 1 or cols < 1:
-            raise ValueError("grid dims must be positive")
-        check_integer("inner_max_iters", inner_max_iters)
-        if inner_max_iters < 1:
-            raise ValueError(f"inner_max_iters must be at least 1, got {inner_max_iters!r}")
-        check_real("inner_tol", inner_tol)
-        if not (math.isfinite(inner_tol) and inner_tol >= 0):
-            raise ValueError(f"inner_tol must be nonnegative and finite, got {inner_tol!r}")
-        self.grid = (int(rows), int(cols))
-        self.inner_max_iters = int(inner_max_iters)
-        self.inner_tol = float(inner_tol)
+        self.grid = (
+            check_integer("grid rows", rows, minimum=1),
+            check_integer("grid cols", cols, minimum=1),
+        )
+        self.inner_max_iters = check_integer("inner_max_iters", inner_max_iters, minimum=1)
+        self.inner_tol = check_real("inner_tol", inner_tol, minimum=0)
 
     def _check_dim(self, x):
         x = np.asarray(x, dtype=float)

@@ -59,16 +59,37 @@ class NonFiniteObjective(FloatingPointError):
     """A trial objective evaluated to NaN or infinity."""
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer; a bool is not one."""
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """Return ``value`` as an int, or raise ``ValueError`` naming ``name``.
+
+    ``value`` must be an integer (a bool is not one) and, when ``minimum``
+    is given, at least ``minimum``; a minimum of 1 reads "must be positive".
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        bound = "positive" if minimum == 1 else f">= {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
 
 
-def check_real(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a real number; a bool is not one."""
+def check_real(name: str, value, minimum: float | None = None, positive: bool = False) -> float:
+    """Return ``value`` as a float, or raise ``ValueError`` naming ``name``.
+
+    ``value`` must be a real number (a bool is not one) and finite; then at
+    least ``minimum`` when that is given, and above 0 when ``positive``.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum:g}, got {value!r}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -101,23 +122,12 @@ class SolverConfig:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float":
-                check_real(f.name, value)
-                if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite")
-            optional_unset = f.type == "int | None" and value is None
-            if f.type.startswith("int") and not optional_unset:
-                check_integer(f.name, value)
-        if self.cycle_m is not None and self.cycle_m < 1:
-            raise ValueError("cycle_m must be positive")
+        if self.cycle_m is not None:
+            check_integer("cycle_m", self.cycle_m, minimum=1)
         if self.ref_policy not in (REF_GLL, REF_ADAPTIVE):
             raise ValueError(f"unknown ref_policy {self.ref_policy!r}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_real("eps", self.eps, positive=True)
+        check_integer("max_iters", self.max_iters, minimum=1)
 
     def effective_cycle_m(self, tau: float) -> int:
         if self.cycle_m is not None:

@@ -252,6 +252,11 @@ class TestBadInput:
             ("bench", {"generator": with_params(TV, num_lines=-3)}, None,
              "num_lines must be >= 0"),
             ("solve", with_params(DEBLUR, image=5), None, "image must be a 2-D array"),
+            ("solve", with_params(GROUP, k=32), None, "k must be <= n"),
+            ("bench", {"generator": with_params(BPDN, tau=float("inf"))}, None,
+             "tau must be finite"),
+            ("bench", {"generator": BPDN, "variants": [{"name": "v", "config": {"eps": 0.1}}]},
+             None, "list it in tolerances"),
         ],
         ids=[
             "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
@@ -264,7 +269,7 @@ class TestBadInput:
             "tv-nan-noise", "tv-negative-noise", "bpdn-nan-noise", "deblur-nan-noise",
             "tv-negative-sampling-ratio", "bpdn-negative-spikes", "bpdn-zero-n", "group-zero-groups",
             "tv-zero-rows", "tv-negative-num-lines", "bench-tv-negative-num-lines",
-            "deblur-scalar-image",
+            "deblur-scalar-image", "group-k-above-n", "bench-inf-tau", "bench-variant-eps",
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):

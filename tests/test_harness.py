@@ -96,6 +96,15 @@ def test_non_finite_phi_star_rejected(phi_star):
         error_vs_matvec_curve(res.trace, phi_star)
 
 
+@pytest.mark.parametrize("phi_star", [True, "0.5"], ids=repr)
+def test_non_number_phi_star_rejected(phi_star):
+    res = solve(gen_bpdn(k=16, n=64, spikes=4, seed=1), SolverConfig(eps=1e-3))
+    with pytest.raises(ValueError, match="phi_star must be a number"):
+        fit_rates(res.trace, phi_star)
+    with pytest.raises(ValueError, match="phi_star must be a number"):
+        error_vs_matvec_curve(res.trace, phi_star)
+
+
 class TestCurve:
     def test_single_iteration_trace(self):
         prob = gen_bpdn(k=16, n=32, spikes=4, seed=1, tau=10.0)  # stops immediately
@@ -223,7 +232,7 @@ class TestRunExperiment:
         "patch, needle",
         [
             ({"tolerances": [-1.0]}, "eps must be positive"),
-            ({"tolerances": [1e-3, float("nan")]}, "eps must be finite"),
+            ({"tolerances": [1e-3, float("nan")]}, "tolerances must be finite"),
             ({"repetitions": 2.9}, "repetitions must be an integer"),
             ({"repetitions": True}, "repetitions must be an integer"),
             ({"generator": {"family": "bpdn", "seed": 1.7}}, "seed must be an integer"),
@@ -250,6 +259,15 @@ class TestRunExperiment:
             replace(small_spec(), tolerances=tolerances)
         with pytest.raises(ValueError, match="distinct"):
             ExperimentSpec.from_dict({**small_spec().to_dict(), "tolerances": tolerances})
+
+    def test_variant_eps_rejected(self):
+        variants = [Variant("a", SolverConfig(eps=1e-1))]
+        with pytest.raises(ValueError, match="variant 'a' sets eps.*tolerances"):
+            replace(small_spec(), variants=variants)
+        with pytest.raises(ValueError, match="variant 'a' sets eps.*tolerances"):
+            ExperimentSpec.from_dict(
+                {**small_spec().to_dict(), "variants": [{"name": "a", "config": {"eps": 0.1}}]}
+            )
 
     def test_spec_without_variants_rejected(self):
         with pytest.raises(ValueError):

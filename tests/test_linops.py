@@ -49,6 +49,25 @@ class TestApplyAdjointBasics:
         op = PartialFourier2D(4, 4, np.ones((4, 4), dtype=bool))
         assert np.allclose(op.adjoint(np.zeros(op.range_dim)), np.zeros(16))
 
+    def test_dense_copies_a_writeable_matrix(self, rng):
+        matrix = rng.standard_normal((3, 4))
+        x = rng.standard_normal(4)
+        op = DenseOperator(matrix)
+        before = op.apply(x)
+        matrix[:] = 0.0
+        assert np.array_equal(op.apply(x), before)
+        assert not op.matrix.flags.writeable
+
+    def test_dense_keeps_only_a_frozen_owner(self, rng):
+        frozen = rng.standard_normal((3, 4))
+        frozen.setflags(write=False)
+        assert DenseOperator(frozen).matrix is frozen
+        view = frozen[:, :2]  # read-only, but not the owner of its data
+        assert DenseOperator(view).matrix is not view
+        single = frozen.astype(np.float32)
+        single.setflags(write=False)
+        assert DenseOperator(single).matrix.dtype == np.float64
+
     def test_dimension_mismatch_raises(self):
         op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):

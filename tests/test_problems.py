@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,17 @@ class TestBpdn:
         with pytest.raises(ValueError):
             gen_bpdn(k=8, n=16, spikes=17, seed=0)
 
+    def test_matrix_is_not_copied(self):
+        # the operator keeps the drawn matrix: the peak is one matrix, not two
+        gen_bpdn(k=256, n=1024, spikes=160, seed=0)
+        tracemalloc.start()
+        try:
+            p = gen_bpdn(k=256, n=1024, spikes=160, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * p.op.matrix.nbytes
+
 
 class TestGroup:
     def test_rows_orthonormal_at_paper_scale(self):
@@ -116,6 +128,12 @@ class TestGroup:
         p = gen_group(seed=1, k=32, n=128, num_groups=8, active_groups=2)
         expected = 0.3 * np.max(np.abs(p.op.matrix.T @ p.b))
         assert p.regularizer.tau == pytest.approx(expected, rel=1e-15)
+
+    def test_more_rows_than_columns_rejected(self):
+        with pytest.raises(ValueError, match="k must be <= n"):
+            gen_group(k=32, n=16, num_groups=4, active_groups=1)
+        with pytest.raises(ValueError, match="k must be <= n"):
+            GeneratorSpec("group", {"k": 32, "n": 16, "num_groups": 4}).make()
 
     def test_determinism(self):
         a = gen_group(seed=2, k=16, n=64, num_groups=8, active_groups=2)
@@ -245,6 +263,20 @@ class TestTvPhantom:
         gen_tv_phantom(rows=8, cols=8, num_lines=0)
 
 
+@pytest.mark.parametrize(
+    "generator, kwargs, name",
+    [
+        (gen_bpdn, {"noise_std": True}, "noise_std"),
+        (gen_bpdn, {"noise_std": "x"}, "noise_std"),
+        (gen_tv_phantom, {"rows": 8, "cols": 8, "num_lines": 2.5}, "num_lines"),
+    ],
+    ids=["bool-noise", "string-noise", "fractional-num-lines"],
+)
+def test_non_number_argument_rejected_by_name(generator, kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be an? (integer|number)"):
+        generator(**kwargs)
+
+
 class TestGeneratorSpec:
     def test_round_trip_json(self):
         spec = GeneratorSpec("bpdn", {"k": 32, "n": 64, "spikes": 8}, seed=5)
@@ -300,6 +332,16 @@ class TestGeneratorSpec:
     def test_non_number_param_rejected(self, family, params, name):
         with pytest.raises(ValueError, match=f"{name} must be an? (integer|number)"):
             GeneratorSpec(family, params)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
+    @pytest.mark.parametrize(
+        "family, name",
+        [("bpdn", "tau"), ("bpdn", "noise_std"), ("tv-phantom", "sampling_ratio"),
+         ("group", "tau_coef")],
+    )
+    def test_non_finite_param_rejected(self, family, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GeneratorSpec(family, {name: bad})
 
     def test_optional_params_take_none(self):
         GeneratorSpec("bpdn", {"tau": None})
