@@ -10,6 +10,7 @@ the benchmark harness.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -19,13 +20,20 @@ from .solver import check_integer
 class LinearOperator:
     """Base class for matrix-free operators.
 
-    Subclasses set ``kind`` and implement ``_apply`` / ``_adjoint`` on
-    validated 1-D float arrays. Instances are immutable after
-    construction except for the ``forward_count`` and ``adjoint_count``
-    application counters, which only the public ``apply`` / ``adjoint``
-    advance, and the scratch contents of a work buffer such as
-    :class:`Blur2D`'s window sums. A returned array never shares memory with
-    such a buffer.
+    Subclasses set ``kind`` and implement ``_apply(x, out=None)`` /
+    ``_adjoint(y, out=None)`` on validated 1-D float arrays: each writes
+    its result into ``out`` when given, else into a fresh array, and
+    returns it. Instances are immutable after construction except for the
+    ``forward_count`` and ``adjoint_count`` application counters, which
+    only the public ``apply`` / ``adjoint`` advance.
+
+    The image operators and compositions share one set of four flat work
+    images per image size (:func:`_work_images`), whose contents are
+    scratch between calls. One shared set is safe because the package is
+    single-threaded and no public ``apply`` / ``adjoint`` runs inside
+    another operator call; operators of one size must not be called from
+    several threads at once. A returned array never shares memory with
+    the set.
     """
 
     kind = "abstract"
@@ -69,11 +77,29 @@ class LinearOperator:
             )
         return v
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def _adjoint(self, y: np.ndarray) -> np.ndarray:
+    def _adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
+
+
+# image size -> its shared (4, size) work set, dropped with its last operator
+_WORK_SETS = weakref.WeakValueDictionary()
+
+
+def _work_images(size: int) -> np.ndarray:
+    """The ``(4, size)`` work images shared by the operators of this size.
+
+    Rows 0 and 1 hold :class:`Blur2D`'s window sums, row 2 the Haar
+    transforms' scratch and row 3 a :class:`ComposedOperator`'s
+    intermediate. The set is created for the first operator of its size
+    and lives as long as one of them holds it.
+    """
+    work = _WORK_SETS.get(size)
+    if work is None:
+        work = _WORK_SETS[size] = np.empty((4, size))
+    return work
 
 
 class DenseOperator(LinearOperator):
@@ -95,11 +121,11 @@ class DenseOperator(LinearOperator):
         self.matrix = matrix
         super().__init__(matrix.shape[1], matrix.shape[0])
 
-    def _apply(self, x):
-        return self.matrix @ x
+    def _apply(self, x, out=None):
+        return np.matmul(self.matrix, x, out=out)
 
-    def _adjoint(self, y):
-        return self.matrix.T @ y
+    def _adjoint(self, y, out=None):
+        return np.matmul(self.matrix.T, y, out=out)
 
 
 class PartialFourier2D(LinearOperator):
@@ -157,17 +183,18 @@ class PartialFourier2D(LinearOperator):
             table.setflags(write=False)
         super().__init__(rows * cols, 2 * idx.size)
 
-    def _apply(self, x):
+    def _apply(self, x, out=None):
         spectrum = np.empty((self.rows, self._half_cols), dtype=complex)
         np.fft.rfft2(x.reshape(self.rows, self.cols), out=spectrum)
         picked = spectrum.ravel()[self._read_at]
         m = picked.size
-        out = np.empty(2 * m)
+        if out is None:
+            out = np.empty(2 * m)
         np.multiply(picked.real, self._scale, out=out[:m])
         np.multiply(picked.imag, self._imag_scale, out=out[m:])
         return out
 
-    def _adjoint(self, y):
+    def _adjoint(self, y, out=None):
         m = y.size // 2
         coeffs = y[:m] + 1j * y[m:]
         coeffs *= self._adjoint_scale
@@ -176,7 +203,10 @@ class PartialFourier2D(LinearOperator):
         flat[self._own_at] += coeffs[self._own]
         flat[self._mirrored_at] += np.conjugate(coeffs[self._mirrored])
         np.fft.ifft(spectrum, axis=0, out=spectrum)
-        return np.fft.irfft(spectrum, n=self.cols, axis=1).ravel()
+        if out is None:
+            out = np.empty(self.rows * self.cols)
+        np.fft.irfft(spectrum, n=self.cols, axis=1, out=out.reshape(self.rows, self.cols))
+        return out
 
 
 def _circular_add(out, a, da, b, db, n):
@@ -239,9 +269,9 @@ class Blur2D(LinearOperator):
     (``floor(log2 m) + popcount(m) - 1`` additions per direction). The
     column additions run over the flattened image, and the entries that
     wrap across rows are then written again. The additions ping-pong
-    between two image-size work buffers held by the instance (their
-    contents are scratch between calls) and the fresh result, which is
-    the only array allocated; the sums are scaled by ``1 / mask_size**2``
+    between images 0 and 1 of the work set shared by the operators of
+    this size (see :class:`LinearOperator`) and the result, which is the
+    only array allocated; the sums are scaled by ``1 / mask_size**2``
     into it.
     """
 
@@ -253,13 +283,14 @@ class Blur2D(LinearOperator):
         self.mask_size = check_integer("mask_size", mask_size, minimum=1)
         if self.mask_size > min(rows, cols):
             raise ValueError("mask_size must be in [1, min(rows, cols)]")
-        self._work = (np.empty(rows * cols), np.empty(rows * cols))
+        self._work = _work_images(rows * cols)
         super().__init__(rows * cols, rows * cols)
 
-    def _convolve(self, x, start):
+    def _convolve(self, x, start, out):
         m, size = self.mask_size, self.rows * self.cols
-        out = np.empty(size)
-        first, second = self._work
+        if out is None:
+            out = np.empty(size)
+        first, second = self._work[:2]
         along_cols = _window_sums(x, m, start, self.cols, 1, (first, second))
         spare = second if along_cols is first else first
         # the row pass shifts whole rows of the image taken as one long row;
@@ -268,14 +299,14 @@ class Blur2D(LinearOperator):
         np.multiply(summed, 1.0 / m**2, out=out)
         return out
 
-    def _apply(self, x):
-        return self._convolve(x, self.mask_size // 2 - self.mask_size + 1)
+    def _apply(self, x, out=None):
+        return self._convolve(x, self.mask_size // 2 - self.mask_size + 1, out)
 
-    def _adjoint(self, y):
-        return self._convolve(y, -(self.mask_size // 2))
+    def _adjoint(self, y, out=None):
+        return self._convolve(y, -(self.mask_size // 2), out)
 
 
-def haar_analysis_2d(image: np.ndarray, levels: int) -> np.ndarray:
+def haar_analysis_2d(image: np.ndarray, levels: int, out=None, tmp=None) -> np.ndarray:
     """Forward (analysis) orthonormal 2-D Haar transform.
 
     One level maps each 2x2 block ``[[a, b], [c, d]]`` to the four
@@ -286,12 +317,19 @@ def haar_analysis_2d(image: np.ndarray, levels: int) -> np.ndarray:
     top-left quadrant. Each level is a butterfly: sums and differences of
     column pairs go to a scratch array, sums and differences of its row
     pairs go to the result, which is then halved.
+
+    The result goes to ``out`` and the scratch to ``tmp`` when given
+    (arrays shaped like ``image`` that share no memory with it or each
+    other); each is allocated otherwise.
     """
     src = np.asarray(image, dtype=float)
+    if out is None:
+        out = np.empty_like(src)
     if levels == 0:
-        return src.copy()
-    out = np.empty_like(src)
-    tmp = np.empty_like(src)
+        out[...] = src
+        return out
+    if tmp is None:
+        tmp = np.empty_like(src)
     r, c = src.shape
     for _ in range(levels):
         r2, c2 = r // 2, c // 2
@@ -306,19 +344,23 @@ def haar_analysis_2d(image: np.ndarray, levels: int) -> np.ndarray:
     return out
 
 
-def haar_synthesis_2d(coeffs: np.ndarray, levels: int) -> np.ndarray:
+def haar_synthesis_2d(coeffs: np.ndarray, levels: int, out=None, tmp=None) -> np.ndarray:
     """Inverse of :func:`haar_analysis_2d` (orthonormal, so the transpose).
 
     Each level, coarsest first, runs the analysis butterfly backwards:
     sums and differences of the top and bottom quadrants go to the even
     and odd rows of a scratch array, sums and differences of its left and
     right halves go to the even and odd columns of the result, which is
-    then halved.
+    then halved. ``out`` and ``tmp`` are as in :func:`haar_analysis_2d`.
     """
-    out = np.array(coeffs, dtype=float)
+    if out is None:
+        out = np.array(coeffs, dtype=float)
+    else:
+        out[...] = coeffs
     if levels == 0:
         return out
-    tmp = np.empty_like(out)
+    if tmp is None:
+        tmp = np.empty_like(out)
     rows, cols = out.shape
     for r2, c2 in [(rows >> lv, cols >> lv) for lv in range(levels, 0, -1)]:
         r, c = 2 * r2, 2 * c2
@@ -337,7 +379,9 @@ class HaarSynthesis2D(LinearOperator):
     The solver variable lives in wavelet-coefficient space: ``apply``
     synthesizes an image from coefficients and ``adjoint`` analyzes an
     image back into coefficients. ``W`` is square orthonormal, so
-    ``W^T W = I``. ``levels = 0`` is the identity.
+    ``W^T W = I``. ``levels = 0`` is the identity. The transforms take
+    their scratch from image 2 of the work set shared by the operators of
+    this size (see :class:`LinearOperator`).
     """
 
     kind = "haar-dwt-2d"
@@ -350,13 +394,21 @@ class HaarSynthesis2D(LinearOperator):
             raise ValueError(
                 f"image dims ({rows}, {cols}) not divisible by 2^{levels}"
             )
+        self._work = _work_images(rows * cols)
         super().__init__(rows * cols, rows * cols)
 
-    def _apply(self, x):
-        return haar_synthesis_2d(x.reshape(self.rows, self.cols), self.levels).ravel()
+    def _transform(self, transform, v, out):
+        shape = (self.rows, self.cols)
+        if out is None:
+            out = np.empty(v.size)
+        transform(v.reshape(shape), self.levels, out.reshape(shape), self._work[2].reshape(shape))
+        return out
 
-    def _adjoint(self, y):
-        return haar_analysis_2d(y.reshape(self.rows, self.cols), self.levels).ravel()
+    def _apply(self, x, out=None):
+        return self._transform(haar_synthesis_2d, x, out)
+
+    def _adjoint(self, y, out=None):
+        return self._transform(haar_analysis_2d, y, out)
 
 
 class ComposedOperator(LinearOperator):
@@ -364,7 +416,8 @@ class ComposedOperator(LinearOperator):
 
     Applying the composition counts once, on the composition itself: it
     runs its constituents' ``_apply`` / ``_adjoint``, so their counters do
-    not move.
+    not move. The intermediate goes to image 3 of the work set shared by
+    the operators of its size (see :class:`LinearOperator`).
     """
 
     kind = "composition"
@@ -377,11 +430,12 @@ class ComposedOperator(LinearOperator):
             )
         self.outer = outer
         self.inner = inner
+        self._work = _work_images(inner.range_dim)
         super().__init__(inner.domain_dim, outer.range_dim)
 
-    def _apply(self, x):
-        return self.outer._apply(self.inner._apply(x))
+    def _apply(self, x, out=None):
+        return self.outer._apply(self.inner._apply(x, self._work[3]), out)
 
-    def _adjoint(self, y):
-        return self.inner._adjoint(self.outer._adjoint(y))
+    def _adjoint(self, y, out=None):
+        return self.inner._adjoint(self.outer._adjoint(y, self._work[3]), out)
 

@@ -66,11 +66,13 @@ class LeastSquaresProblem:
     x_true: np.ndarray | None = None
 
     def f_value(self, x) -> float:
-        r = self.op.apply(x) - self.b
+        r = self.op.apply(x)
+        r -= self.b
         return 0.5 * float(r @ r)
 
     def f_grad(self, x) -> np.ndarray:
-        r = self.op.apply(x) - self.b
+        r = self.op.apply(x)
+        r -= self.b
         return self.op.adjoint(r)
 
     @property
@@ -120,8 +122,10 @@ def gen_bpdn(
     noise. Starts from x1 = 0 with an l1 regularizer. ``tau = None``
     defaults to 0.1 * ||A^T b||_inf.
     """
-    if n < 1 or not 0 <= spikes <= n:
-        raise ValueError(f"spikes must be in [0, n] with n >= 1, got spikes={spikes!r}, n={n!r}")
+    k = check_integer("k", k, minimum=1)
+    n = check_integer("n", n, minimum=1)
+    if not 0 <= spikes <= n:
+        raise ValueError(f"spikes must be in [0, n], got spikes={spikes!r}, n={n!r}")
     noise_std = check_real("noise_std", noise_std, minimum=0)
     rng_matrix, rng_signal, rng_noise = _substreams(seed)
     A = rng_matrix.normal(0.0, np.sqrt(1.0 / (2 * n)), size=(k, n))
@@ -159,6 +163,7 @@ def gen_group(
     ``active_groups`` are filled with unit Gaussians, and the group-l2
     weight is ``tau_coef * ||A^T b||_inf``.
     """
+    k = check_integer("k", k, minimum=1)
     if k > n:
         raise ValueError(f"k must be <= n for row-orthonormal sensing, got k={k!r}, n={n!r}")
     if num_groups < 1 or n % num_groups:

@@ -52,7 +52,11 @@ class Regularizer:
         raise NotImplementedError
 
     def prox(self, u, alpha: float, state=None) -> np.ndarray:
-        """Solve ``argmin_z 0.5 ||z - u||^2 + psi(z) / (2 alpha)``."""
+        """Solve ``argmin_z 0.5 ||z - u||^2 + psi(z) / (2 alpha)``.
+
+        The result is a new array, sharing no memory with ``u``: the solver
+        writes its step into ``u`` afterwards.
+        """
         raise NotImplementedError
 
     def make_prox_state(self):

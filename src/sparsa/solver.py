@@ -333,18 +333,20 @@ def line_search_step(
     Requires phi_ref >= phi(x). Returns ``(x_next, obj_next, alpha, j,
     step, step_sq)`` for the smallest j whose subproblem solution satisfies
     the acceptance inequality, where ``step = x_next - x`` and ``step_sq =
-    step . step``.
+    step . step``. Each trial forms ``u`` in one fresh vector and, once
+    the prox has returned, writes the step into it.
     """
     for j in range(cfg.max_backtracks + 1):
         alpha = alpha_seed * cfg.eta**j
-        u = x - g / (2.0 * alpha)
+        u = np.divide(g, 2.0 * alpha)
+        np.subtract(x, u, out=u)
         z = reg.prox(u, alpha, state=prox_state)
         obj_z = float(f_value(z)) + reg.value(z)
         if not math.isfinite(obj_z):
             raise NonFiniteObjective(
                 f"objective is {obj_z} at alpha={alpha:g} (backtrack {j})"
             )
-        diff = z - x
+        diff = np.subtract(z, x, out=u)
         step_sq = float(diff @ diff)
         if obj_z <= phi_ref - cfg.sigma * alpha * step_sq:
             return z, obj_z, alpha, j, diff, step_sq
@@ -400,7 +402,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         )
         if prox_state is not None:
             prox_state.note_backtracks(j)
-        diff_inf = float(np.max(np.abs(diff)))
+        diff_inf = float(np.abs(diff).max())
         step_inf = alpha * diff_inf
         records.append(
             TraceRecord(

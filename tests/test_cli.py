@@ -245,7 +245,7 @@ class TestBadInput:
             ("solve", with_params(DEBLUR, noise_std=float("nan")), None, "noise_std must be"),
             ("solve", with_params(TV, sampling_ratio=-0.5), None, "sampling_ratio must be"),
             ("solve", with_params(BPDN, spikes=-3), None, "spikes must be"),
-            ("solve", with_params(BPDN, n=0, spikes=0), None, "n >= 1"),
+            ("solve", with_params(BPDN, n=0, spikes=0), None, "n must be positive"),
             ("solve", with_params(GROUP, num_groups=0), None, "num_groups must be"),
             ("solve", with_params(TV, rows=0, cols=0), None, "nonempty square grid"),
             ("solve", with_params(TV, num_lines=-3), None, "num_lines must be >= 0"),

@@ -97,6 +97,16 @@ class TestBpdn:
         with pytest.raises(ValueError):
             gen_bpdn(k=8, n=16, spikes=17, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"k": 0}, "k must be positive"), ({"k": -3}, "k must be positive"),
+         ({"n": 0}, "n must be positive")],
+        ids=["zero-k", "negative-k", "zero-n"],
+    )
+    def test_non_positive_size_rejected_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            gen_bpdn(**{"spikes": 0, **kwargs})
+
     def test_matrix_is_not_copied(self):
         # the operator keeps the drawn matrix: the peak is one matrix, not two
         gen_bpdn(k=256, n=1024, spikes=160, seed=0)
@@ -128,6 +138,11 @@ class TestGroup:
         p = gen_group(seed=1, k=32, n=128, num_groups=8, active_groups=2)
         expected = 0.3 * np.max(np.abs(p.op.matrix.T @ p.b))
         assert p.regularizer.tau == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_non_positive_rows_rejected_by_name(self, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            gen_group(k=k, n=16, num_groups=4, active_groups=1)
 
     def test_more_rows_than_columns_rejected(self):
         with pytest.raises(ValueError, match="k must be <= n"):
