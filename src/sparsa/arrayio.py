@@ -1,8 +1,9 @@
-"""File formats: PGM images and CSV records (arrays go through ``np.save``)."""
+"""File formats: PGM images, CSV records and JSON (arrays go through ``np.save``)."""
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -80,3 +81,22 @@ def write_records_csv(path, record_type, records):
         writer.writerow([name for name, _ in columns])
         for record in records:
             writer.writerow([format(getattr(record, name), spec) for name, spec in columns])
+
+
+def read_records_csv(path, record_type) -> list:
+    """Read a CSV of :func:`write_records_csv` back into ``record_type`` records.
+
+    An ``int`` field is parsed as an int and every other field as a float.
+    A missing column raises ``KeyError``, an unparsable value ``ValueError``.
+    """
+    parsers = {f.name: int if f.type == "int" else float for f in fields(record_type)}
+    with open(path, newline="") as fh:
+        return [
+            record_type(**{name: parse(row[name]) for name, parse in parsers.items()})
+            for row in csv.DictReader(fh)
+        ]
+
+
+def write_json(path, payload):
+    """Write ``payload`` as JSON indented by 2, ending with a newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -14,10 +14,12 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .arrayio import write_json
 from .harness import (
     ExperimentSpec,
     error_vs_matvec_curve,
@@ -35,10 +37,6 @@ def _load_json(path):
     return json.loads(Path(path).read_text())
 
 
-def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 class BadInput(Exception):
     """An input named on the command line cannot be read or built."""
 
@@ -54,7 +52,7 @@ def _input(option):
 
 def cmd_solve(args):
     if args.print_config:
-        print(json.dumps(SolverConfig().to_dict(), indent=2))
+        print(json.dumps(asdict(SolverConfig()), indent=2))
         return 0
     with _input("--config"):
         cfg = SolverConfig.from_dict(_load_json(args.config) if args.config else {})
@@ -68,10 +66,10 @@ def cmd_solve(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     res.trace.write_csv(out / "trace.csv")
-    summary = res.trace.summary.to_dict()
+    summary = asdict(res.trace.summary)
     if variant.continuation:
         summary["stages"] = res.stages
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     np.save(out / "x.npy", res.x)
     print(
         f"status={res.status} iters={summary['iters']} "
@@ -83,7 +81,7 @@ def cmd_solve(args):
 def cmd_bench(args):
     if args.print_config:
         spec = ExperimentSpec(generator=GeneratorSpec("bpdn"))
-        print(json.dumps(spec.to_dict(), indent=2))
+        print(json.dumps(asdict(spec), indent=2))
         return 0
     with _input("--spec"):
         spec = ExperimentSpec.from_dict(_load_json(args.spec))
@@ -103,8 +101,9 @@ def cmd_rates(args):
         trace = Trace.read_csv(args.trace)
     with _input("--phi-star/--burn-in"):
         fit = fit_rates(trace, args.phi_star, burn_in=args.burn_in)
-    _write_json(args.out, fit.to_dict())
-    print(json.dumps(fit.to_dict(), indent=2))
+    payload = asdict(fit)
+    write_json(args.out, payload)
+    print(json.dumps(payload, indent=2))
     return 0
 
 

@@ -10,7 +10,6 @@ reference optimum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -92,9 +91,6 @@ class RateFit:
     c_hat: float = float("nan")
     residual_r2: float = float("nan")
     burn_in: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def fit_rates(trace: Trace, phi_star: float, burn_in: int | None = None) -> RateFit:
@@ -227,9 +223,6 @@ class ExperimentSpec:
         if colliding:
             raise ValueError(f"tolerances must stay distinct when printed with :g: {colliding}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         """As ``Variant.from_dict``; an empty ``variants`` list means the defaults."""
@@ -310,10 +303,10 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> tuple[list[TableRow], dict]
         if (done := finished.get((variant.name, eps)))
     ]
     manifest = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "seeds": [spec.generator.seed + r for r in range(spec.repetitions)],
         "cells": cells,
     }
     arrayio.write_records_csv(out / "table.csv", TableRow, rows)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    arrayio.write_json(out / "manifest.json", manifest)
     return rows, manifest

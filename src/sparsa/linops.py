@@ -306,7 +306,7 @@ class Blur2D(LinearOperator):
         return self._convolve(y, -(self.mask_size // 2), out)
 
 
-def haar_analysis_2d(image: np.ndarray, levels: int, out=None, tmp=None) -> np.ndarray:
+def haar_analysis_2d(image: np.ndarray, levels: int, out, tmp) -> np.ndarray:
     """Forward (analysis) orthonormal 2-D Haar transform.
 
     One level maps each 2x2 block ``[[a, b], [c, d]]`` to the four
@@ -318,18 +318,14 @@ def haar_analysis_2d(image: np.ndarray, levels: int, out=None, tmp=None) -> np.n
     column pairs go to a scratch array, sums and differences of its row
     pairs go to the result, which is then halved.
 
-    The result goes to ``out`` and the scratch to ``tmp`` when given
-    (arrays shaped like ``image`` that share no memory with it or each
-    other); each is allocated otherwise.
+    ``image`` is a float array. The result goes to ``out`` and the scratch
+    to ``tmp``, both required: float arrays shaped like ``image`` that
+    share no memory with it or each other. ``out`` is returned.
     """
-    src = np.asarray(image, dtype=float)
-    if out is None:
-        out = np.empty_like(src)
+    src = image
     if levels == 0:
         out[...] = src
         return out
-    if tmp is None:
-        tmp = np.empty_like(src)
     r, c = src.shape
     for _ in range(levels):
         r2, c2 = r // 2, c // 2
@@ -344,23 +340,19 @@ def haar_analysis_2d(image: np.ndarray, levels: int, out=None, tmp=None) -> np.n
     return out
 
 
-def haar_synthesis_2d(coeffs: np.ndarray, levels: int, out=None, tmp=None) -> np.ndarray:
+def haar_synthesis_2d(coeffs: np.ndarray, levels: int, out, tmp) -> np.ndarray:
     """Inverse of :func:`haar_analysis_2d` (orthonormal, so the transpose).
 
     Each level, coarsest first, runs the analysis butterfly backwards:
     sums and differences of the top and bottom quadrants go to the even
     and odd rows of a scratch array, sums and differences of its left and
     right halves go to the even and odd columns of the result, which is
-    then halved. ``out`` and ``tmp`` are as in :func:`haar_analysis_2d`.
+    then halved. ``out`` and ``tmp`` are required, as in
+    :func:`haar_analysis_2d`.
     """
-    if out is None:
-        out = np.array(coeffs, dtype=float)
-    else:
-        out[...] = coeffs
+    out[...] = coeffs
     if levels == 0:
         return out
-    if tmp is None:
-        tmp = np.empty_like(out)
     rows, cols = out.shape
     for r2, c2 in [(rows >> lv, cols >> lv) for lv in range(levels, 0, -1)]:
         r, c = 2 * r2, 2 * c2

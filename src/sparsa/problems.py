@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -414,9 +414,6 @@ class GeneratorSpec:
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":

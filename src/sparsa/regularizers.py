@@ -44,6 +44,7 @@ class Regularizer:
     """
 
     kind = "abstract"
+    dim = None  # the length of every vector argument; None takes any length
 
     def __init__(self, tau: float):
         self.tau = check_real("tau", tau, minimum=0)
@@ -54,7 +55,9 @@ class Regularizer:
     def prox(self, u, alpha: float, state=None) -> np.ndarray:
         """Solve ``argmin_z 0.5 ||z - u||^2 + psi(z) / (2 alpha)``.
 
-        The result is a new array, sharing no memory with ``u``: the solver
+        Every kind first checks ``alpha`` (:meth:`_weight`: positive and
+        finite) and then the length of ``u`` (:meth:`_check_dim`). The
+        result is a new array, sharing no memory with ``u``: the solver
         writes its step into ``u`` afterwards.
         """
         raise NotImplementedError
@@ -80,7 +83,14 @@ class Regularizer:
         return twin
 
     def _check_dim(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if self.dim is not None and x.shape != (self.dim,):
+            raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
+        return x
+
+    def _weight(self, alpha) -> float:
+        """The prox weight ``tau / (2 alpha)``; ``alpha`` must be positive and finite."""
+        return self.tau / (2.0 * check_real("alpha", alpha, positive=True))
 
 
 class ZeroRegularizer(Regularizer):
@@ -93,6 +103,7 @@ class ZeroRegularizer(Regularizer):
         return 0.0
 
     def prox(self, u, alpha, state=None):
+        self._weight(alpha)
         return np.array(u, dtype=float)
 
 
@@ -105,9 +116,8 @@ class L1Regularizer(Regularizer):
         return self.tau * float(np.sum(np.abs(self._check_dim(x))))
 
     def prox(self, u, alpha, state=None):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        return soft_threshold(self._check_dim(u), self.tau / (2.0 * alpha))
+        t = self._weight(alpha)
+        return soft_threshold(self._check_dim(u), t)
 
 
 class GroupL2Regularizer(Regularizer):
@@ -129,21 +139,13 @@ class GroupL2Regularizer(Regularizer):
         if not np.array_equal(np.sort(flat), np.arange(self.dim)):
             raise ValueError("groups must partition indices 0..n-1 (disjoint, covering)")
 
-    def _check_dim(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
-        return x
-
     def value(self, x) -> float:
         x = self._check_dim(x)
         return self.tau * float(sum(np.linalg.norm(x[g]) for g in self.groups))
 
     def prox(self, u, alpha, state=None):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        t = self._weight(alpha)
         u = self._check_dim(u)
-        t = self.tau / (2.0 * alpha)
         z = np.empty_like(u)
         for g in self.groups:
             block = u[g]
@@ -379,13 +381,7 @@ class TVIsoRegularizer(Regularizer):
         )
         self.inner_max_iters = check_integer("inner_max_iters", inner_max_iters, minimum=1)
         self.inner_tol = check_real("inner_tol", inner_tol, minimum=0)
-
-    def _check_dim(self, x):
-        x = np.asarray(x, dtype=float)
-        n = self.grid[0] * self.grid[1]
-        if x.shape != (n,):
-            raise ValueError(f"expected vector of length {n}, got {x.shape}")
-        return x
+        self.dim = self.grid[0] * self.grid[1]
 
     def value(self, x) -> float:
         x = self._check_dim(x)
@@ -395,10 +391,8 @@ class TVIsoRegularizer(Regularizer):
         return TVProxState(self.inner_max_iters, self.inner_tol)
 
     def prox(self, u, alpha, state=None):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        weight = self._weight(alpha)
         u = self._check_dim(u)
-        weight = self.tau / (2.0 * alpha)
         if state is None:  # a call outside a solve: the constructor's budget, no warm start
             state = self.make_prox_state()
         z, state.p = tv_prox(

@@ -28,12 +28,11 @@ the inner TV solve's error.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -101,7 +100,7 @@ class SolverConfig:
     reference value, "gll-max" or "adaptive"; ``eps`` and ``max_iters`` are
     the stopping tolerance and the iteration cap. The line-search constants
     are class attributes, not fields: the constructor rejects them and
-    ``to_dict`` leaves them out.
+    ``dataclasses.asdict`` leaves them out.
     """
 
     eta: ClassVar[float] = 5.0  # alpha grows by this factor per backtrack
@@ -133,9 +132,6 @@ class SolverConfig:
         if self.cycle_m is not None:
             return self.cycle_m
         return 1 if tau >= 1e-2 else 3
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -183,9 +179,6 @@ class SolveSummary:
     final_residual: float
     wall_time: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class Trace:
@@ -209,13 +202,7 @@ class Trace:
 
     @classmethod
     def read_csv(cls, path) -> "Trace":
-        parsers = {f.name: int if f.type == "int" else float for f in fields(TraceRecord)}
-        with open(path, newline="") as fh:
-            records = [
-                TraceRecord(**{name: parse(row[name]) for name, parse in parsers.items()})
-                for row in csv.DictReader(fh)
-            ]
-        return cls(records=records)
+        return cls(records=arrayio.read_records_csv(path, TraceRecord))
 
 
 @dataclass

@@ -34,7 +34,7 @@ class TestSolve:
     def test_print_config(self, capsys):
         assert main(["solve", "--print-config"]) == 0
         printed = json.loads(capsys.readouterr().out)
-        assert printed == SolverConfig().to_dict()
+        assert printed == asdict(SolverConfig())
 
     def test_solve_problem_dir(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -107,7 +107,7 @@ class TestSolve:
             "rates", "--trace", str(trace_path),
             "--phi-star", f"{phi_star - 1e-9}", "--out", str(fit_out),
         ]) == 0
-        assert set(json.loads(fit_out.read_text())) == set(RateFit().to_dict())
+        assert set(json.loads(fit_out.read_text())) == set(asdict(RateFit()))
         copy = tmp_path / "copy.csv"
         Trace.read_csv(trace_path).write_csv(copy)
         assert copy.read_bytes() == trace_path.read_bytes()
@@ -118,7 +118,7 @@ class TestBenchRatesCurve:
         exp = {
             "generator": {"family": "bpdn", "params": {"k": 16, "n": 64, "spikes": 4}, "seed": 0},
             "variants": [
-                {"name": "gll", "config": {**SolverConfig(cycle_m=1).to_dict()}},
+                {"name": "gll", "config": asdict(SolverConfig(cycle_m=1))},
             ],
             "tolerances": [1e-4],
             "repetitions": 2,

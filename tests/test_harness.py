@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -226,7 +226,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             replace(spec, **empty)
         with pytest.raises(ValueError):
-            ExperimentSpec.from_dict({**spec.to_dict(), **empty})
+            ExperimentSpec.from_dict({**asdict(spec), **empty})
 
     @pytest.mark.parametrize(
         "patch, needle",
@@ -242,7 +242,7 @@ class TestRunExperiment:
     )
     def test_invalid_value_rejected(self, patch, needle):
         with pytest.raises(ValueError, match=needle):
-            ExperimentSpec.from_dict({**small_spec().to_dict(), **patch})
+            ExperimentSpec.from_dict({**asdict(small_spec()), **patch})
 
     @pytest.mark.parametrize(
         "names", [["v", "v"], ["a/b", "a-b"]], ids=["duplicate", "same-trace-file"]
@@ -258,7 +258,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"distinct.*\[" + ", ".join(map(repr, tolerances))):
             replace(small_spec(), tolerances=tolerances)
         with pytest.raises(ValueError, match="distinct"):
-            ExperimentSpec.from_dict({**small_spec().to_dict(), "tolerances": tolerances})
+            ExperimentSpec.from_dict({**asdict(small_spec()), "tolerances": tolerances})
 
     def test_variant_eps_rejected(self):
         variants = [Variant("a", SolverConfig(eps=1e-1))]
@@ -266,7 +266,7 @@ class TestRunExperiment:
             replace(small_spec(), variants=variants)
         with pytest.raises(ValueError, match="variant 'a' sets eps.*tolerances"):
             ExperimentSpec.from_dict(
-                {**small_spec().to_dict(), "variants": [{"name": "a", "config": {"eps": 0.1}}]}
+                {**asdict(small_spec()), "variants": [{"name": "a", "config": {"eps": 0.1}}]}
             )
 
     def test_spec_without_variants_rejected(self):
@@ -275,8 +275,8 @@ class TestRunExperiment:
 
     def test_spec_round_trip(self):
         spec = small_spec(reps=2, tolerances=(1e-2, 1e-4))
-        back = ExperimentSpec.from_dict(spec.to_dict())
-        assert back.to_dict() == spec.to_dict()
+        back = ExperimentSpec.from_dict(asdict(spec))
+        assert asdict(back) == asdict(spec)
 
     @pytest.mark.parametrize(
         "patch, key",
@@ -292,7 +292,7 @@ class TestRunExperiment:
     )
     def test_unknown_key_rejected(self, patch, key):
         with pytest.raises(TypeError, match=f"'{key}'"):
-            ExperimentSpec.from_dict({**small_spec().to_dict(), **patch})
+            ExperimentSpec.from_dict({**asdict(small_spec()), **patch})
 
     @pytest.mark.parametrize(
         "variant, needle",
@@ -307,17 +307,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=needle):
             Variant.from_dict(variant)
         with pytest.raises(ValueError, match=needle):
-            ExperimentSpec.from_dict({**small_spec().to_dict(), "variants": [variant]})
+            ExperimentSpec.from_dict({**asdict(small_spec()), "variants": [variant]})
 
     @pytest.mark.parametrize("tolerance", [True, "1e-3", None], ids=["bool", "string", "null"])
     def test_tolerance_must_be_a_number(self, tolerance):
         with pytest.raises(ValueError, match="tolerances must be a number"):
-            ExperimentSpec.from_dict({**small_spec().to_dict(), "tolerances": [tolerance]})
+            ExperimentSpec.from_dict({**asdict(small_spec()), "tolerances": [tolerance]})
         with pytest.raises(ValueError, match="tolerances must be a number"):
             replace(small_spec(), tolerances=[1e-3, tolerance])
 
     def test_integer_tolerance_is_read_as_float(self):
-        spec = ExperimentSpec.from_dict({**small_spec().to_dict(), "tolerances": [1]})
+        spec = ExperimentSpec.from_dict({**asdict(small_spec()), "tolerances": [1]})
         assert spec.tolerances == [1.0] and isinstance(spec.tolerances[0], float)
 
     def test_missing_keys_take_defaults(self):

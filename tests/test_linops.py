@@ -290,7 +290,8 @@ class TestHaar:
 
     def test_analysis_2x2_against_explicit_matrix(self):
         a, b, c, d = 1.7, -0.3, 2.5, 0.9
-        got = haar_analysis_2d(np.array([[a, b], [c, d]]), 1)
+        x = np.array([[a, b], [c, d]])
+        got = haar_analysis_2d(x, 1, out=np.empty_like(x), tmp=np.empty_like(x))
         assert got[0, 0] == pytest.approx((a + b + c + d) / 2, abs=1e-15)
         assert got[0, 1] == pytest.approx((a - b + c - d) / 2, abs=1e-15)
         assert got[1, 0] == pytest.approx((a + b - c - d) / 2, abs=1e-15)
@@ -299,13 +300,15 @@ class TestHaar:
         H = np.zeros((4, 4))
         basis = np.eye(4)
         for col in range(4):
-            H[:, col] = haar_analysis_2d(basis[col].reshape(2, 2), 1).ravel()
+            e = basis[col].reshape(2, 2)
+            H[:, col] = haar_analysis_2d(e, 1, out=np.empty_like(e), tmp=np.empty_like(e)).ravel()
         assert np.allclose(H @ H.T, np.eye(4), atol=1e-14)
         assert np.allclose(H @ np.array([a, b, c, d]), got.ravel(), atol=1e-14)
 
     def test_constant_image_single_coarse_coefficient(self):
         c = 0.6
-        coeffs = haar_analysis_2d(np.full((2, 2), c), 1)
+        x = np.full((2, 2), c)
+        coeffs = haar_analysis_2d(x, 1, out=np.empty_like(x), tmp=np.empty_like(x))
         assert coeffs[0, 0] == pytest.approx(2 * c, abs=1e-15)
         assert np.allclose(coeffs.ravel()[1:], 0.0, atol=1e-15)
 
@@ -316,7 +319,8 @@ class TestHaar:
 
     def test_multilevel_roundtrip_functions(self, rng):
         img = rng.standard_normal((8, 8))
-        back = haar_synthesis_2d(haar_analysis_2d(img, 3), 3)
+        coeffs = haar_analysis_2d(img, 3, out=np.empty_like(img), tmp=np.empty_like(img))
+        back = haar_synthesis_2d(coeffs, 3, out=np.empty_like(img), tmp=np.empty_like(img))
         assert np.allclose(back, img, atol=1e-12)
 
     def test_divisibility_validated(self):
@@ -331,8 +335,10 @@ class TestHaar:
     def test_butterflies_match_quadrant_formulas(self, rng, rows, cols, levels):
         for _ in range(3):
             x = rng.standard_normal((rows, cols))
-            for got, want in ((haar_analysis_2d(x, levels), haar_analysis_quadrants(x, levels)),
-                              (haar_synthesis_2d(x, levels), haar_synthesis_quadrants(x, levels))):
+            for transform, quadrants in ((haar_analysis_2d, haar_analysis_quadrants),
+                                         (haar_synthesis_2d, haar_synthesis_quadrants)):
+                got = transform(x, levels, out=np.empty_like(x), tmp=np.empty_like(x))
+                want = quadrants(x, levels)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("rows, cols, levels", [(16, 32, 4), (12, 20, 2)],
@@ -347,7 +353,7 @@ class TestHaar:
     def test_levels_zero_copies_non_square(self, rng):
         img = rng.standard_normal((7, 9))
         for transform in (haar_analysis_2d, haar_synthesis_2d):
-            out = transform(img, 0)
+            out = transform(img, 0, out=np.empty_like(img), tmp=np.empty_like(img))
             assert np.array_equal(out, img)
             assert not np.shares_memory(out, img)
         op = HaarSynthesis2D(7, 9, 0)

@@ -44,6 +44,20 @@ def patched_names():
     return names
 
 
+def test_every_regularizer_kind_defines_its_own_prox_and_value():
+    # the tracer wraps prox and value per class and reads the TV fallbacks
+    # from TVIsoRegularizer.prox's own return; a prox inherited from the
+    # base class would escape it and leave those metrics at 0
+    kinds = [
+        cls for cls in vars(regularizers).values()
+        if isinstance(cls, type) and issubclass(cls, regularizers.Regularizer)
+        and cls is not regularizers.Regularizer
+    ]
+    assert kinds
+    for cls in kinds:
+        assert "prox" in cls.__dict__ and "value" in cls.__dict__, cls.__name__
+
+
 @pytest.fixture
 def tracer_cls(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -106,6 +120,8 @@ def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
     # the tracer counts tv_divergence calls: one per dual step plus one per call
     assert m["regularizers.tv_inner_iters"] == sum(inner_steps)
     assert (sum(inner_steps) > 0) == (make is tv_phantom)
+    if make is tv_phantom:  # every TV prox span wraps exactly one tv_prox call
+        assert m["regularizers.prox_calls"] == len(inner_steps) > 0
     if make is deblur:  # one span per application: no operator span inside another
         names = [span[0] for span in tracer.spans]
         assert not any(

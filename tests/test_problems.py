@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ def test_non_number_argument_rejected_by_name(generator, kwargs, name):
 class TestGeneratorSpec:
     def test_round_trip_json(self):
         spec = GeneratorSpec("bpdn", {"k": 32, "n": 64, "spikes": 8}, seed=5)
-        back = GeneratorSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        back = GeneratorSpec.from_dict(json.loads(json.dumps(asdict(spec))))
         assert back == spec
 
     def test_make_dispatch_matches_direct_call(self):

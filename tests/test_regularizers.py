@@ -7,6 +7,7 @@ from sparsa import regularizers
 from sparsa.regularizers import (
     GroupL2Regularizer,
     L1Regularizer,
+    Regularizer,
     TVIsoRegularizer,
     ZeroRegularizer,
     soft_threshold,
@@ -60,6 +61,10 @@ class TestValues:
             GroupL2Regularizer(1.0, [[0, 1]]).value([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             TVIsoRegularizer(1.0, (2, 2)).value([1.0, 2.0])
+        with pytest.raises(ValueError, match="expected vector of length 2"):
+            GroupL2Regularizer(1.0, [[0, 1]]).prox([1.0, 2.0, 3.0], alpha=1.0)
+        with pytest.raises(ValueError, match="expected vector of length 4"):
+            TVIsoRegularizer(1.0, (2, 2)).prox([1.0, 2.0], alpha=1.0)
 
 
 class TestProxClosedForms:
@@ -95,10 +100,6 @@ class TestProxClosedForms:
     def test_group_below_threshold_zeroed(self):
         reg = GroupL2Regularizer(10.0, [[0, 1]])
         assert np.allclose(reg.prox([0.3, 0.4], alpha=1.0), [0.0, 0.0])
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            L1Regularizer(1.0).prox([1.0], alpha=0.0)
 
 
 class TestProxAgainstNumericOracle:
@@ -463,6 +464,21 @@ KINDS = {
 
 
 class TestWeight:
+    def test_kinds_cover_every_subclass(self):
+        subclasses = {
+            cls for cls in vars(regularizers).values()
+            if isinstance(cls, type) and issubclass(cls, Regularizer) and cls is not Regularizer
+        }
+        assert {type(make(1.0)) for make in KINDS.values()} == subclasses
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")], ids=str)
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_alpha_must_be_positive_and_finite(self, kind, alpha):
+        # the vector has the wrong length for group-l2 and tv-iso too:
+        # alpha is checked first
+        with pytest.raises(ValueError, match="^alpha must be"):
+            KINDS[kind](1.0).prox(np.ones(5), alpha)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_non_finite_tau_rejected(self, kind, bad):

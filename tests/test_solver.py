@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -567,7 +567,7 @@ class TestTraceSerialization:
     def test_summary_fields(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=11)
         res = solve(prob, SolverConfig(eps=1e-6))
-        s = res.trace.summary.to_dict()
+        s = asdict(res.trace.summary)
         assert s["status"] == "converged"
         assert s["iters"] == len(res.trace.records)
         assert s["matvecs"] == prob.matvec_total
@@ -600,12 +600,12 @@ class TestConfigValidation:
 
     def test_dict_roundtrip(self):
         cfg = SolverConfig(cycle_m=4, ref_policy="adaptive", eps=1e-3)
-        assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+        assert SolverConfig.from_dict(asdict(cfg)) == cfg
 
     def test_only_four_values_are_settable(self):
         names = ["cycle_m", "ref_policy", "eps", "max_iters"]
         assert [f.name for f in fields(SolverConfig)] == names
-        assert list(SolverConfig().to_dict()) == names
+        assert list(asdict(SolverConfig())) == names
 
     @pytest.mark.parametrize("name", LINE_SEARCH_CONSTANTS)
     def test_constant_is_not_settable(self, name):
