@@ -48,7 +48,6 @@ from .regularizers import (
     L1Regularizer,
     Regularizer,
     TVIsoRegularizer,
-    ZeroRegularizer,
     soft_threshold,
     tv_prox,
     tv_value_2d,

@@ -1,4 +1,4 @@
-"""File formats: PGM images, CSV records and JSON (arrays go through ``np.save``)."""
+"""File formats: PGM image reading, CSV records and JSON (arrays go through ``np.save``)."""
 
 from __future__ import annotations
 
@@ -48,21 +48,6 @@ def read_pgm(path) -> np.ndarray:
     if np.any(raster > maxval) or np.any(raster < 0):
         raise ValueError(f"PGM samples must lie in [0, {maxval}]")
     return raster.reshape(height, width).astype(float) / maxval
-
-
-def write_pgm(path, image: np.ndarray, binary: bool = True):
-    """Write an image with values in [0, 1] as maxval-255 PGM (clipping)."""
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError("image must be 2-D")
-    raster = np.rint(np.clip(image, 0.0, 1.0) * 255).astype(np.uint8)
-    rows, cols = image.shape
-    if binary:
-        header = f"P5\n{cols} {rows}\n255\n".encode()
-        Path(path).write_bytes(header + raster.tobytes())
-    else:
-        lines = [" ".join(str(v) for v in row) for row in raster]
-        Path(path).write_text(f"P2\n{cols} {rows}\n255\n" + "\n".join(lines) + "\n")
 
 
 def write_records_csv(path, record_type, records):

@@ -93,20 +93,6 @@ class Regularizer:
         return self.tau / (2.0 * check_real("alpha", alpha, positive=True))
 
 
-class ZeroRegularizer(Regularizer):
-    kind = "zero"
-
-    def __init__(self, tau: float = 0.0):
-        super().__init__(tau)
-
-    def value(self, x) -> float:
-        return 0.0
-
-    def prox(self, u, alpha, state=None):
-        self._weight(alpha)
-        return np.array(u, dtype=float)
-
-
 class L1Regularizer(Regularizer):
     """psi(x) = tau * ||x||_1; prox is soft-thresholding at tau/(2 alpha)."""
 

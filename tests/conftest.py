@@ -26,16 +26,14 @@ class IdentityOperator(LinearOperator):
 def stationarity_residual(reg, x, g) -> float:
     """Max-norm distance from ``-g`` to the subdifferential of ``reg`` at ``x``.
 
-    The closed forms for the zero, l1 and group-l2 kinds; with ``g = grad
-    f(x)`` this is zero exactly at stationary points of ``f + psi``. Other
-    kinds have none and raise ``ValueError``.
+    The closed forms for the l1 and group-l2 kinds; with ``g = grad f(x)``
+    this is zero exactly at stationary points of ``f + psi``. Other kinds
+    have none and raise ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     if x.shape != g.shape:
         raise ValueError("x and g must have the same length")
-    if reg.kind == "zero":
-        return float(np.max(np.abs(g))) if g.size else 0.0
     if reg.kind == "l1":
         res = np.where(
             x != 0,
@@ -291,6 +289,13 @@ def tv_objective(z, u, weight):
             dv = z[i + 1, j] - z[i, j] if i + 1 < rows else 0.0
             tv += np.sqrt(dh * dh + dv * dv)
     return 0.5 * float(np.sum((z - u) ** 2)) + weight * tv
+
+
+def pgm_p5_bytes(image) -> bytes:
+    """A binary (P5) PGM file, maxval 255, of an image with values in [0, 1]."""
+    raster = np.rint(np.asarray(image) * 255).astype(np.uint8)
+    rows, cols = raster.shape
+    return f"P5\n{cols} {rows}\n255\n".encode() + raster.tobytes()
 
 
 def finite_difference_gradient(f, x, h=1e-6):

@@ -19,7 +19,7 @@ from sparsa.problems import (
 from sparsa.problems import test_pattern as make_test_pattern
 from sparsa.regularizers import L1Regularizer
 from sparsa.solver import SolverConfig, solve
-from conftest import IdentityOperator, finite_difference_gradient
+from conftest import IdentityOperator, finite_difference_gradient, pgm_p5_bytes
 
 
 class TestOracles:
@@ -200,7 +200,7 @@ class TestDeblur:
         from sparsa import arrayio
 
         path = tmp_path / "img.pgm"
-        arrayio.write_pgm(path, make_test_pattern(8, 8))
+        path.write_bytes(pgm_p5_bytes(make_test_pattern(8, 8)))
         # rows and cols are read only without an image
         cases = [
             (None, make_test_pattern(8, 8)),
@@ -364,11 +364,8 @@ class TestGeneratorSpec:
         GeneratorSpec("tv-phantom", {"num_lines": None})
 
     def test_pgm_image_source(self, tmp_path):
-        from sparsa import arrayio
-
-        img = make_test_pattern(8, 8)
         path = tmp_path / "img.pgm"
-        arrayio.write_pgm(path, img)
+        path.write_bytes(pgm_p5_bytes(make_test_pattern(8, 8)))
         spec = GeneratorSpec(
             "deblur", {"image": str(path), "mask_size": 3, "levels": 1}, seed=1
         )

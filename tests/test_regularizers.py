@@ -9,7 +9,6 @@ from sparsa.regularizers import (
     L1Regularizer,
     Regularizer,
     TVIsoRegularizer,
-    ZeroRegularizer,
     soft_threshold,
     tv_divergence,
     tv_gradient,
@@ -41,7 +40,7 @@ class TestValues:
         assert reg.value(np.full(16, 2.5)) == 0.0
 
     def test_zero_value(self):
-        assert ZeroRegularizer().value([1.0, 2.0]) == 0.0
+        assert L1Regularizer(0.0).value([1.0, 2.0]) == 0.0
 
     def test_values_convex_on_random_pairs(self, rng):
         regs = [
@@ -83,12 +82,15 @@ class TestProxClosedForms:
 
     def test_tau_zero_returns_u(self, rng):
         u = rng.standard_normal(6)
-        for reg in (
-            L1Regularizer(0.0),
-            GroupL2Regularizer(0.0, [[0, 1, 2], [3, 4, 5]]),
-            ZeroRegularizer(),
-        ):
-            assert np.allclose(reg.prox(u, alpha=0.7), u)
+        # l1 at tau = 0 is the smooth problem (psi = 0): an exact copy of u
+        # for finite nonzero entries, and a value of exactly zero
+        smooth = L1Regularizer(0.0)
+        z = smooth.prox(u, alpha=0.7)
+        assert z.tobytes() == u.tobytes()
+        assert not np.shares_memory(z, u)
+        assert smooth.value(u) == 0.0
+        group = GroupL2Regularizer(0.0, [[0, 1, 2], [3, 4, 5]])
+        assert np.allclose(group.prox(u, alpha=0.7), u)
         tv = TVIsoRegularizer(0.0, (2, 3))
         assert np.allclose(tv.prox(u, alpha=0.7), u)
 
@@ -149,7 +151,7 @@ class TestProxProperties:
         regs = [
             L1Regularizer(0.8),
             GroupL2Regularizer(0.8, [[0, 1, 2], [3, 4]]),
-            ZeroRegularizer(),
+            L1Regularizer(0.0),
         ]
         for reg in regs:
             for _ in range(1000):
@@ -456,7 +458,6 @@ class TestConstructionAndSerialization:
 
 
 KINDS = {
-    "zero": lambda tau: ZeroRegularizer(tau),
     "l1": lambda tau: L1Regularizer(tau),
     "group-l2": lambda tau: GroupL2Regularizer(tau, [[0, 2], [1, 3]]),
     "tv-iso": lambda tau: TVIsoRegularizer(tau, (2, 2), inner_max_iters=7, inner_tol=1e-3),

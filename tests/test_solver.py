@@ -16,7 +16,7 @@ from sparsa.problems import (
     gen_tv_phantom,
 )
 from sparsa.problems import test_pattern as make_test_pattern
-from sparsa.regularizers import GroupL2Regularizer, L1Regularizer, ZeroRegularizer
+from sparsa.regularizers import GroupL2Regularizer, L1Regularizer
 from sparsa.solver import (
     BacktrackLimitExceeded,
     NonFiniteObjective,
@@ -52,7 +52,7 @@ def quadratic_problem(center=3.0):
     return OracleProblem(
         value_fn=lambda x: 0.5 * (x[0] - center) ** 2,
         grad_fn=lambda x: np.array([x[0] - center]),
-        regularizer=ZeroRegularizer(),
+        regularizer=L1Regularizer(0.0),
         x1=np.array([0.0]),
     )
 
@@ -187,7 +187,7 @@ class TestLineSearch:
         g = np.array([-1.0])
         z, obj, alpha, j, step, step_sq = line_search_step(
             x, g, phi_ref=0.5, alpha_seed=1.0, f_value=prob.f_value,
-            reg=ZeroRegularizer(), cfg=cfg,
+            reg=L1Regularizer(0.0), cfg=cfg,
         )
         assert z[0] == pytest.approx(0.5)
         assert obj == pytest.approx(0.125)
@@ -227,7 +227,7 @@ class TestLineSearch:
 
         z, obj, alpha, j, _, _ = line_search_step(
             np.array([x0]), np.array([g0]), phi_ref=phi0, alpha_seed=seed,
-            f_value=lambda x: 0.5 * (10 * x[0]) ** 2, reg=ZeroRegularizer(), cfg=cfg,
+            f_value=lambda x: 0.5 * (10 * x[0]) ** 2, reg=L1Regularizer(0.0), cfg=cfg,
         )
         assert j == expected_j
 
@@ -237,7 +237,7 @@ class TestLineSearch:
         with pytest.raises(BacktrackLimitExceeded):
             line_search_step(
                 np.array([1.0]), np.array([1.0]), phi_ref=0.0, alpha_seed=1.0,
-                f_value=lambda x: 1.0, reg=ZeroRegularizer(), cfg=cfg,
+                f_value=lambda x: 1.0, reg=L1Regularizer(0.0), cfg=cfg,
             )
 
     def test_non_finite_objective_raises(self):
@@ -245,7 +245,7 @@ class TestLineSearch:
         with pytest.raises(NonFiniteObjective):
             line_search_step(
                 np.array([1.0]), np.array([1.0]), phi_ref=1.0, alpha_seed=1.0,
-                f_value=lambda x: float("nan"), reg=ZeroRegularizer(), cfg=cfg,
+                f_value=lambda x: float("nan"), reg=L1Regularizer(0.0), cfg=cfg,
             )
 
 
@@ -492,7 +492,7 @@ class TestStationarityResidual:
         assert stationarity_residual(reg, [0.0, 0.0], [2.0, 0.0]) == pytest.approx(1.0)
 
     def test_zero_regularizer_uses_gradient_norm(self):
-        assert stationarity_residual(ZeroRegularizer(), [1.0], [0.25]) == 0.25
+        assert stationarity_residual(L1Regularizer(0.0), [1.0], [0.25]) == 0.25
 
     # a subgradient p of psi at x makes g = -p stationary
     @pytest.mark.parametrize(
@@ -509,7 +509,7 @@ class TestStationarityResidual:
         assert stationarity_residual(reg, x, -np.array(p)) == pytest.approx(expected, abs=1e-15)
 
     def test_shape_mismatch(self):
-        for reg in (ZeroRegularizer(), L1Regularizer(1.0)):
+        for reg in (L1Regularizer(0.0), L1Regularizer(1.0)):
             with pytest.raises(ValueError, match="same length"):
                 stationarity_residual(reg, np.zeros(3), np.zeros(2))
 
