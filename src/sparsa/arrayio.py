@@ -37,7 +37,7 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"unsupported PGM maxval {maxval}")
     if magic == "P5":
         pos += 1  # single whitespace byte after maxval
-        raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+        raster = np.frombuffer(data[pos : pos + width * height], dtype=np.uint8)
     else:
         try:
             raster = np.array(data[pos:].split()[: width * height], dtype=np.int64)

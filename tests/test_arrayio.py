@@ -28,6 +28,41 @@ class TestPgm:
         img = arrayio.read_pgm(path)
         assert np.allclose(img, [[0.0, 0.5], [1.0, 0.25]])
 
+    def test_comment_between_header_tokens(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_text("P2 # magic\n2 # width\n1\n# maxval next\n255\n0 255\n")
+        assert np.array_equal(arrayio.read_pgm(path), [[0.0, 1.0]])
+
+    def test_binary_maxval_below_255_scales(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n3 1\n15\n" + bytes([0, 5, 15]))
+        assert np.array_equal(arrayio.read_pgm(path), [[0.0, 5 / 15, 1.0]])
+
+    def test_binary_raster_may_start_with_whitespace_bytes(self, tmp_path):
+        # exactly one whitespace byte ends the header; raster bytes 10, 32
+        # and 9 are samples, not separators
+        path = tmp_path / "w.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes([10, 32, 9, 200]))
+        assert np.array_equal(arrayio.read_pgm(path), np.array([[10, 32], [9, 200]]) / 255)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P2\n2 2\n255\n0 1 2\n", b"P5\n2 2\n255\n" + bytes(3)],
+        ids=["p2", "p5"],
+    )
+    def test_truncated_raster_rejected(self, tmp_path, data):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="truncated"):
+            arrayio.read_pgm(path)
+
+    @pytest.mark.parametrize("maxval", [0, 256, 65535])
+    def test_unsupported_maxval_rejected(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(f"P2\n1 1\n{maxval}\n0\n".encode())
+        with pytest.raises(ValueError, match=f"unsupported PGM maxval {maxval}"):
+            arrayio.read_pgm(path)
+
     @pytest.mark.parametrize(
         "header, raster",
         [

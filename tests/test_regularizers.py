@@ -94,6 +94,16 @@ class TestProxClosedForms:
         tv = TVIsoRegularizer(0.0, (2, 3))
         assert np.allclose(tv.prox(u, alpha=0.7), u)
 
+    def test_tau_zero_prox_maps_negative_zero_to_positive_zero(self):
+        # np.sign(-0.0) is +0.0, so the smooth case does not keep the sign bit
+        z = L1Regularizer(0.0).prox(np.array([-0.0, 0.0, -1.5]), alpha=0.7)
+        assert z.tobytes() == np.array([0.0, 0.0, -1.5]).tobytes()
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")], ids=str)
+    def test_tau_zero_value_is_nan_at_non_finite_entry(self, bad):
+        # 0 * inf is nan: the smooth case's value is only zero on finite input
+        assert np.isnan(L1Regularizer(0.0).value([1.0, bad]))
+
     def test_group_shrinkage(self):
         reg = GroupL2Regularizer(2.0, [[0, 1]])
         # threshold tau/(2 alpha) = 2, scale 1 - 2/5
