@@ -124,7 +124,8 @@ def gen_bpdn(
     """
     k = check_integer("k", k, minimum=1)
     n = check_integer("n", n, minimum=1)
-    if not 0 <= spikes <= n:
+    spikes = check_integer("spikes", spikes, minimum=0)
+    if spikes > n:
         raise ValueError(f"spikes must be in [0, n], got spikes={spikes!r}, n={n!r}")
     noise_std = check_real("noise_std", noise_std, minimum=0)
     rng_matrix, rng_signal, rng_noise = _substreams(seed)
@@ -164,11 +165,14 @@ def gen_group(
     weight is ``tau_coef * ||A^T b||_inf``.
     """
     k = check_integer("k", k, minimum=1)
+    n = check_integer("n", n, minimum=1)
     if k > n:
         raise ValueError(f"k must be <= n for row-orthonormal sensing, got k={k!r}, n={n!r}")
-    if num_groups < 1 or n % num_groups:
+    num_groups = check_integer("num_groups", num_groups, minimum=1)
+    if n % num_groups:
         raise ValueError(f"num_groups must be a positive divisor of n, got {num_groups!r}")
-    if not 0 <= active_groups <= num_groups:
+    active_groups = check_integer("active_groups", active_groups, minimum=0)
+    if active_groups > num_groups:
         raise ValueError(f"active_groups must be in [0, num_groups], got {active_groups!r}")
     noise_std = check_real("noise_std", noise_std, minimum=0)
     rng_matrix, rng_signal, rng_noise = _substreams(seed)

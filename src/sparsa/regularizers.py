@@ -231,46 +231,64 @@ def tv_prox(
 
     Minimizes ``0.5 ||z - u||^2 + weight * TV(z)`` through its dual
     ``min 0.5 ||u + weight * div(p)||^2`` over per-pixel unit balls
-    ``||p_ij||_2 <= 1`` with step ``DUAL_STEP / weight``. Returns ``(z, p)``;
-    pass ``p`` back as ``p0`` to warm-start the next call. The result is
-    never worse than ``z = u``. ``dual_history`` collects ``0.5 ||z||^2``.
+    ``||p_ij||_2 <= 1`` with step ``DUAL_STEP / weight``. Returns ``(z, p)``
+    with ``z`` in float64 and the dual field ``p`` in float32; pass ``p``
+    back as ``p0`` to warm-start the next call. The result is never worse
+    than ``z = u``. ``dual_history`` collects ``0.5 ||z||^2`` of the float32
+    iterates.
+
+    The dual loop runs in float32: ``u`` is rounded once per call, and the
+    gradient, step, projection, exit test, divergence and ``z`` update are
+    all float32 operations. The prox is inexact by design (a solve caps its
+    dual steps), and float32 resolves about 6e-8 on the unit-bounded dual
+    field, far below the changes at which the cap stops a call. ``z`` is
+    widened to float64 once, after the loop; the non-finite check and the
+    "never worse than ``z = u``" test then run in float64, on that ``z``
+    and the float64 input.
 
     The loop stops once an iteration moves no dual entry by more than
     ``tol``. The test needs no scale: after projection every ``|p|`` entry is
     at most 1 exactly, because ``|q_x| = sqrt(fl(q_x^2)) <= sqrt(fl(q_x^2 +
-    q_y^2))`` under round-to-nearest, so ``max(1, max|p|)`` would be 1.
+    q_y^2))`` under round-to-nearest, so ``max(1, max|p|)`` would be 1. A
+    ``tol`` below about 1e-7 is finer than a float32 dual entry near 1 can
+    move, so it reads "stop when the float32 dual field stops moving".
 
     The working arrays are allocated once per call and updated in place:
     the dual field ``p`` and the dual step ``q`` (both planes in one array
-    each, swapped after every iteration), the per-pixel ``norm``, the
-    divergence ``div`` and ``z``. After the swap the old dual field is dead,
-    so ``|q - p|`` is computed into it, and it then serves as the
-    divergence's work plane; ``div`` holds ``q_y^2`` while the norm is
-    built, and the fallback check below reuses ``div`` and ``q``.
-    Non-finite values raise :class:`FloatingPointError`: ``z`` is checked
-    before and after the loop, and a non-finite ``z`` inside it makes the
-    next dual change NaN.
+    each, swapped after every iteration), and one ``work`` array holding the
+    per-pixel ``norm``, the divergence ``div``, the rounded input ``u32``
+    and ``z``. After the swap the old dual field is dead, so ``|q - p|`` is
+    computed into it, and it then serves as the divergence's work plane;
+    ``div`` holds ``q_y^2`` while the norm is built. Once ``z`` is widened,
+    ``work`` is dead, and its four float32 planes serve the fallback test
+    as a ``(2, rows, cols)`` float64 buffer.
+    Non-finite values raise :class:`FloatingPointError`: ``u`` is checked
+    before the loop and ``z`` after it, and a non-finite ``z`` inside it
+    (from the warm start, or from an entry beyond the float32 range) makes
+    the next dual change NaN.
     """
     u = np.ascontiguousarray(u, dtype=float)
     if weight < 0:
         raise ValueError("weight must be nonnegative")
     if weight == 0.0:
-        return u.copy(), np.zeros((2,) + u.shape)
-    p = np.zeros((2,) + u.shape) if p0 is None else np.array(p0, dtype=float)
+        return u.copy(), np.zeros((2,) + u.shape, dtype=np.float32)
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError("TV inner solver produced non-finite values")
+    p = np.zeros((2,) + u.shape, dtype=np.float32) if p0 is None else np.array(p0, dtype=np.float32)
     q = np.empty_like(p)
-    norm = np.empty_like(u)
-    div = np.empty_like(u)
-    z = np.empty_like(u)
-    scale = DUAL_STEP / weight
+    # four float32 planes, the size of the fallback test's two float64 ones
+    work = np.empty((4,) + u.shape, dtype=np.float32)
+    norm, div, u32, z = work
+    u32[...] = u
+    weight32 = np.float32(weight)
+    scale = np.float32(DUAL_STEP / weight)
 
     def update_z():
         # q is dead here: its first plane is the divergence's work plane
-        np.multiply(tv_divergence(p[0], p[1], out=div, work=q[0]), weight, out=div)
-        np.add(u, div, out=z)
+        np.multiply(tv_divergence(p[0], p[1], out=div, work=q[0]), weight32, out=div)
+        np.add(u32, div, out=z)
 
     update_z()
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("TV inner solver produced non-finite values")
     for _ in range(max_iters):
         if dual_history is not None:
             dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
@@ -293,28 +311,36 @@ def tv_prox(
         update_z()
         if change <= tol:
             break
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("TV inner solver produced non-finite values")
     if dual_history is not None:
         dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
+    z = z.astype(float)
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("TV inner solver produced non-finite values")
     # inexact inner solves must never move above the trivial feasible point
-    np.subtract(z, u, out=div)
-    np.multiply(div, div, out=div)
-    obj_z = 0.5 * float(np.sum(div)) + weight * tv_value_2d(z, work=q)
-    if obj_z > weight * tv_value_2d(u, work=q):
-        return u.copy(), np.zeros((2,) + u.shape)
+    fallback_work = work.reshape(-1).view(float).reshape((2,) + u.shape)
+    diff = fallback_work[0]
+    np.subtract(z, u, out=diff)
+    np.multiply(diff, diff, out=diff)
+    obj_z = 0.5 * float(np.sum(diff)) + weight * tv_value_2d(z, work=fallback_work)
+    if obj_z > weight * tv_value_2d(u, work=fallback_work):
+        return u.copy(), np.zeros((2,) + u.shape, dtype=np.float32)
     return z, p
 
 
 class TVProxState:
     """Per-solve TV state: the warm-start dual field and the inner budget.
 
-    The budget (``max_iters``, ``tol``) starts at the regularizer's
+    ``p`` is the float32 dual field of the last :func:`tv_prox` call (None
+    before the first), kept in float32 from one call to the next. The
+    budget (``max_iters``, ``tol``) starts at the regularizer's
     ``inner_max_iters`` and ``inner_tol``. A line search that needed
     ``GROW_AFTER`` or more backtracks is read as a sign that the inexact
     prox, not the stepsize, holds the outer run back: the cap then grows by
     ``GROW_FACTOR`` and the tolerance shrinks by ``TOL_SHRINK``, until the
-    cap reaches ``MAX_ITERS_CEILING``.
+    cap reaches ``MAX_ITERS_CEILING``. The dual loop runs in float32 (the
+    "never worse than ``z = u``" test after it in float64), so once ``tol``
+    falls below about 1e-7 it reads "stop when the float32 dual field stops
+    moving"; the cap then does the limiting.
     """
 
     GROW_AFTER = 3
@@ -348,6 +374,10 @@ class TVIsoRegularizer(Regularizer):
     previous call, so a few steps per call suffice early on, and the
     solve's :class:`TVProxState` doubles the cap (up to 640) and divides
     the tolerance by 10 after each line search with 3 or more backtracks.
+    The dual loop runs in float32, so a tolerance below about 1e-7 (two
+    growth steps from the default) means "until the float32 dual field
+    stops moving"; the "never worse than ``z = u``" test runs in float64
+    on the returned ``z`` and the float64 input.
     """
 
     kind = "tv-iso"

@@ -124,38 +124,51 @@ def tv_prox_dual_oracle(u, weight, iters=100_000, step=0.125):
     return u + weight * _tv_divergence(px, py)
 
 
-def tv_prox_plain_loop(u, weight, p0=None, max_iters=40, tol=1e-5, step=0.248, dual_history=None):
+def tv_prox_plain_loop(
+    u, weight, p0=None, max_iters=40, tol=1e-5, step=0.248, dual_history=None, dtype=np.float32
+):
     """The TV prox written as a plain dual loop with fresh arrays each step.
 
     Same contract and the same floating-point operations, in the same
     order, as ``sparsa.regularizers.tv_prox``, so the two must agree bit
     for bit. Kept as the reference the buffered implementation is checked
     against; it also keeps the tolerance scale ``max(1, max|px|, max|py|)``.
+    The dual loop runs in ``dtype`` (float32, as in the kernel; float64
+    gives the full-precision loop the float32 one is measured against);
+    the non-finite checks and the fallback test run in float64.
     """
     u = np.asarray(u, dtype=float)
     if weight == 0.0:
-        return u.copy(), np.zeros((2,) + u.shape)
-    p = np.zeros((2,) + u.shape) if p0 is None else np.array(p0, dtype=float)
+        return u.copy(), np.zeros((2,) + u.shape, dtype=dtype)
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError("TV inner solver produced non-finite values")
+    p = np.zeros((2,) + u.shape, dtype=dtype) if p0 is None else np.array(p0, dtype=dtype)
     px, py = p[0], p[1]
-    z = u + weight * _tv_divergence(px, py)
+    u_loop = u.astype(dtype)
+    w = dtype(weight)
+    scale = dtype(step / weight)
+    z = u_loop + w * _tv_divergence(px, py)
     for _ in range(max_iters):
         if dual_history is not None:
             dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
         gx, gy = _tv_gradient(z)
-        qx = px + (step / weight) * gx
-        qy = py + (step / weight) * gy
-        norms = np.maximum(1.0, np.sqrt(qx**2 + qy**2))
+        qx = px + scale * gx
+        qy = py + scale * gy
+        norms = np.maximum(dtype(1.0), np.sqrt(qx**2 + qy**2))
         qx /= norms
         qy /= norms
-        change = max(np.max(np.abs(qx - px)), np.max(np.abs(qy - py)))
-        px, py = qx, qy
-        z = u + weight * _tv_divergence(px, py)
-        if not np.all(np.isfinite(z)):
+        change = float(max(np.max(np.abs(qx - px)), np.max(np.abs(qy - py))))
+        if np.isnan(change):
             raise FloatingPointError("TV inner solver produced non-finite values")
-        if change <= tol * max(1.0, np.max(np.abs(px)), np.max(np.abs(py))):
+        px, py = qx, qy
+        z = u_loop + w * _tv_divergence(px, py)
+        if change <= tol * max(1.0, float(np.max(np.abs(px))), float(np.max(np.abs(py)))):
             break
     if dual_history is not None:
         dual_history.append(0.5 * float(z.ravel() @ z.ravel()))
+    z = z.astype(float)
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("TV inner solver produced non-finite values")
 
     def tv(img):
         gx, gy = _tv_gradient(img)
@@ -163,7 +176,7 @@ def tv_prox_plain_loop(u, weight, p0=None, max_iters=40, tol=1e-5, step=0.248, d
 
     obj_z = 0.5 * float(np.sum((z - u) ** 2)) + weight * tv(z)
     if obj_z > weight * tv(u):
-        return u.copy(), np.zeros((2,) + u.shape)
+        return u.copy(), np.zeros((2,) + u.shape, dtype=dtype)
     return z, np.stack([px, py])
 
 

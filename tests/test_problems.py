@@ -285,8 +285,18 @@ class TestTvPhantom:
         (gen_bpdn, {"noise_std": True}, "noise_std"),
         (gen_bpdn, {"noise_std": "x"}, "noise_std"),
         (gen_tv_phantom, {"rows": 8, "cols": 8, "num_lines": 2.5}, "num_lines"),
+        (gen_bpdn, {"k": 8, "n": 16, "spikes": 2.5}, "spikes"),
+        (gen_bpdn, {"k": 8, "n": 16, "spikes": True}, "spikes"),
+        (gen_group, {"k": 8, "n": 16.0, "num_groups": 4, "active_groups": 1}, "n"),
+        (gen_group, {"k": 8, "n": True, "num_groups": 1, "active_groups": 1}, "n"),
+        (gen_group, {"k": 8, "n": 16, "num_groups": 4.0, "active_groups": 1}, "num_groups"),
+        (gen_group, {"k": 8, "n": 16, "num_groups": True, "active_groups": 1}, "num_groups"),
+        (gen_group, {"k": 8, "n": 16, "num_groups": 4, "active_groups": 1.0}, "active_groups"),
+        (gen_group, {"k": 8, "n": 16, "num_groups": 4, "active_groups": True}, "active_groups"),
     ],
-    ids=["bool-noise", "string-noise", "fractional-num-lines"],
+    ids=["bool-noise", "string-noise", "fractional-num-lines", "float-spikes", "bool-spikes",
+         "float-group-n", "bool-group-n", "float-num-groups", "bool-num-groups",
+         "float-active-groups", "bool-active-groups"],
 )
 def test_non_number_argument_rejected_by_name(generator, kwargs, name):
     with pytest.raises(ValueError, match=f"{name} must be an? (integer|number)"):
