@@ -13,7 +13,9 @@ import numpy as np
 def read_pgm(path) -> np.ndarray:
     """Read a P2 (ASCII) or P5 (binary) PGM image into floats in [0, 1].
 
-    A sample outside ``[0, maxval]`` raises ``ValueError``.
+    A first header token other than ``P2`` or ``P5`` (checked before the
+    sizes are parsed), a header that ends before maxval, a short raster and
+    a sample outside ``[0, maxval]`` raise ``ValueError``.
     """
     data = Path(path).read_bytes()
     tokens, pos = [], 0
@@ -29,13 +31,15 @@ def read_pgm(path) -> np.ndarray:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
-    magic = tokens[0].decode()
-    width, height, maxval = (int(t) for t in tokens[1:4])
-    if magic not in ("P2", "P5"):
+    magic = tokens[0]
+    if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a PGM file (magic {magic!r})")
+    if not tokens[3]:  # the data ended before maxval
+        raise ValueError("PGM header truncated")
+    width, height, maxval = (int(t) for t in tokens[1:4])
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"unsupported PGM maxval {maxval}")
-    if magic == "P5":
+    if magic == b"P5":
         pos += 1  # single whitespace byte after maxval
         raster = np.frombuffer(data[pos : pos + width * height], dtype=np.uint8)
     else:

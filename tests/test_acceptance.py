@@ -90,7 +90,7 @@ def test_criterion_1_prox_oracle_equivalence(rng):
         u = rng.standard_normal((n, n))
         weight = 0.1
         z_oracle = tv_prox_dual_oracle(u, weight, iters=100_000)
-        reg = TVIsoRegularizer(2 * weight, (n, n), inner_max_iters=20_000, inner_tol=0.0)
+        reg = TVIsoRegularizer(2 * weight, (n, n), inner_max_iters=20_000)
         z = reg.prox(u.ravel(), alpha=1.0).reshape(n, n)
         gap = tv_objective(z, u, weight) - tv_objective(z_oracle, u, weight)
         worst_tv = max(worst_tv, gap)

@@ -47,8 +47,8 @@ class TestPgm:
 
     @pytest.mark.parametrize(
         "data",
-        [b"P2\n2 2\n255\n0 1 2\n", b"P5\n2 2\n255\n" + bytes(3)],
-        ids=["p2", "p5"],
+        [b"P2\n2 2\n255\n0 1 2\n", b"P5\n2 2\n255\n" + bytes(3), b"P5\n4 4\n", b"P2 3"],
+        ids=["p2", "p5", "header-before-maxval", "header-after-width"],
     )
     def test_truncated_raster_rejected(self, tmp_path, data):
         path = tmp_path / "short.pgm"
@@ -80,9 +80,14 @@ class TestPgm:
         with pytest.raises(ValueError, match="samples"):
             arrayio.read_pgm(path)
 
-    def test_bad_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [b"P6\n2 2\n255\n" + bytes(12), b"\x89PNG\r\n\x1a\n" + bytes(25), b""],
+        ids=["p6", "png", "empty"],
+    )
+    def test_bad_magic_rejected(self, tmp_path, data):
         path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-        with pytest.raises(ValueError):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="not a PGM"):
             arrayio.read_pgm(path)
 

@@ -96,17 +96,15 @@ def deblur():
 def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
     problem, run = make()
     op = problem.op
-    inner_steps = []  # dual steps per tv_prox call, from its own dual history
+    inner_steps = []  # dual steps per tv_prox call: each runs its max_iters
     untraced_tv_prox = regularizers.tv_prox
 
     @functools.wraps(untraced_tv_prox)
-    def tv_prox_with_history(*args, **kwargs):
-        history = []
-        out = untraced_tv_prox(*args, dual_history=history, **kwargs)
-        inner_steps.append(len(history) - 1)
-        return out
+    def tv_prox_with_budget(*args, **kwargs):
+        inner_steps.append(kwargs["max_iters"])
+        return untraced_tv_prox(*args, **kwargs)
 
-    monkeypatch.setattr(regularizers, "tv_prox", tv_prox_with_history)
+    monkeypatch.setattr(regularizers, "tv_prox", tv_prox_with_budget)
     before = op.forward_count + op.adjoint_count
     with tracer_cls() as tracer:
         result = run()

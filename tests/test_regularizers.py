@@ -151,7 +151,7 @@ class TestProxAgainstNumericOracle:
         u = rng.standard_normal((4, 4))
         weight = 0.1
         z_oracle = tv_prox_dual_oracle(u, weight, iters=100_000)
-        reg = TVIsoRegularizer(2 * weight, (4, 4), inner_max_iters=5000, inner_tol=0.0)
+        reg = TVIsoRegularizer(2 * weight, (4, 4), inner_max_iters=5000)
         z = reg.prox(u.ravel(), alpha=1.0).reshape(4, 4)  # weight = tau/(2 alpha)
         assert tv_objective(z, u, weight) <= tv_objective(z_oracle, u, weight) + 1e-4
 
@@ -191,7 +191,7 @@ class TestProxProperties:
             assert gap <= np.linalg.norm(u1 - u2) + 1e-9
 
     def test_tv_prox_nonexpansive(self, rng):
-        reg = TVIsoRegularizer(0.4, (3, 3), inner_max_iters=400, inner_tol=0.0)
+        reg = TVIsoRegularizer(0.4, (3, 3), inner_max_iters=400)
         for _ in range(20):
             u1 = rng.standard_normal(9)
             u2 = rng.standard_normal(9)
@@ -222,7 +222,7 @@ class TestProxProperties:
         for trial in range(10):
             u = rng.standard_normal((6, 6)) * (1 + trial)
             history: list = []
-            tv_prox(u, weight=0.2, max_iters=60, tol=0.0, dual_history=history)
+            tv_prox_plain_loop(u, weight=0.2, max_iters=60, dual_history=history)
             diffs = np.diff(history)
             # the history is 0.5 ||z||^2 of the float32 iterates, summed in
             # float32: two neighbours may each be off by a few float32 units
@@ -235,7 +235,7 @@ class TestProxProperties:
         w = 0.5
         p_bad = rng.standard_normal((2, 5, 5))
         p_bad /= np.maximum(1.0, np.sqrt(p_bad[0] ** 2 + p_bad[1] ** 2))
-        z, _ = tv_prox(u, w, p0=p_bad, max_iters=1, tol=0.0)
+        z, _ = tv_prox(u, w, p0=p_bad, max_iters=1)
         assert tv_objective(z, u, w) <= tv_objective(u, u, w) + 1e-12
 
     def test_tv_warm_start_state_reused(self, rng):
@@ -246,13 +246,37 @@ class TestProxProperties:
         reg.prox(u, 1.0, state=state)
         assert state.p is not None and state.p.shape == (2, 4, 4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=str)
+    def test_bad_weight_rejected(self, rng, bad):
+        with pytest.raises(ValueError, match="^weight must be"):
+            tv_prox(rng.standard_normal((4, 4)), bad)
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 8])
+    def test_one_divergence_before_the_loop_and_one_per_step(self, rng, monkeypatch, max_iters):
+        # perfbench's tracer reads the inner steps and the capped calls of
+        # each tv_prox call from its tv_divergence calls
+        calls = []
+        divergence = regularizers.tv_divergence
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return divergence(*args, **kwargs)
+
+        monkeypatch.setattr(regularizers, "tv_divergence", counted)
+        u = rng.standard_normal((6, 5))
+        tv_prox(u, 0.3, max_iters=max_iters)
+        assert len(calls) == max_iters + 1
+        calls.clear()
+        tv_prox(u, 0.0, max_iters=max_iters)
+        assert calls == []
+
 
 class TestTvInnerBudget:
     def test_stateless_prox_uses_constructor_budget(self, rng, monkeypatch):
         budgets = []
 
         def recorder(*args, **kwargs):
-            budgets.append((kwargs["max_iters"], kwargs["tol"]))
+            budgets.append(kwargs["max_iters"])
             return tv_prox(*args, **kwargs)
 
         monkeypatch.setattr(regularizers, "tv_prox", recorder)
@@ -260,53 +284,49 @@ class TestTvInnerBudget:
         reg = TVIsoRegularizer(0.5, (4, 4))
         reg.prox(u, 1.0)
         reg.prox(u, 1.0)
-        TVIsoRegularizer(0.5, (4, 4), inner_max_iters=7, inner_tol=1e-3).prox(u, 1.0)
-        assert budgets == [(8, 1e-5), (8, 1e-5), (7, 1e-3)]
+        TVIsoRegularizer(0.5, (4, 4), inner_max_iters=7).prox(u, 1.0)
+        assert budgets == [8, 8, 7]
 
     def test_state_starts_at_constructor_budget(self):
-        reg = TVIsoRegularizer(0.5, (4, 4), inner_max_iters=7, inner_tol=1e-3)
+        reg = TVIsoRegularizer(0.5, (4, 4), inner_max_iters=7)
         state = reg.make_prox_state()
-        assert (state.p, state.max_iters, state.tol) == (None, 7, 1e-3)
+        assert (state.p, state.max_iters) == (None, 7)
 
     def test_budget_grows_after_three_backtracks_up_to_640(self):
         state = TVIsoRegularizer(0.5, (4, 4)).make_prox_state()
         budgets = []
         for j in (0, 2, 3, 1, 5, 3, 3, 3, 3, 4):
             state.note_backtracks(j)
-            budgets.append((state.max_iters, state.tol))
+            budgets.append(state.max_iters)
         # the last doubling, 512 -> 1024, is clipped at the ceiling
-        caps = [8, 8, 16, 16, 32, 64, 128, 256, 512, 640]
-        tols = [1e-5, 1e-5, 1e-6, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12]
-        assert [cap for cap, _ in budgets] == caps
-        assert [tol for _, tol in budgets] == pytest.approx(tols, rel=1e-12)
+        assert budgets == [8, 8, 16, 16, 32, 64, 128, 256, 512, 640]
 
     def test_budget_above_ceiling_stays(self):
         state = TVIsoRegularizer(0.5, (4, 4), inner_max_iters=1000).make_prox_state()
         state.note_backtracks(9)
-        assert (state.max_iters, state.tol) == (1000, 1e-5)
+        assert state.max_iters == 1000
 
 
 class TestTvProxAgainstPlainLoop:
     # 8 columns: a column slice has a stride of 8 doubles, which numpy
     # 2.4.6's np.negative misreads when its output is strided too
     @pytest.mark.parametrize("shape", [(12, 9), (1, 6), (6, 1), (1, 1), (8, 8), (9, 8), (8, 9)])
-    @pytest.mark.parametrize("with_history", [False, True])
-    def test_warm_started_calls_bitwise_equal(self, rng, shape, with_history):
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_warm_started_calls_bitwise_equal(self, rng, shape, start):
         u = rng.standard_normal(shape)
         p_new = p_old = None
+        if start == "warm":  # the first call starts from a field inside the unit balls
+            p_new = p_old = np.clip(rng.standard_normal((2,) + shape), -0.7, 0.7)
         for call in range(12):
             u = u + 0.2 * rng.standard_normal(shape)
             weight = (0.02, 0.3, 1.5)[call % 3]
-            tol = (1e-5, 1e-2, 0.0, 0.3)[call % 4]  # early exits and full runs
-            hist_new = [] if with_history else None
-            hist_old = [] if with_history else None
-            z_new, p_new = tv_prox(u, weight, p0=p_new, tol=tol, dual_history=hist_new)
-            z_old, p_old = tv_prox_plain_loop(u, weight, p0=p_old, tol=tol, dual_history=hist_old)
+            max_iters = (40, 1, 0, 8)[call % 4]
+            z_new, p_new = tv_prox(u, weight, p0=p_new, max_iters=max_iters)
+            z_old, p_old = tv_prox_plain_loop(u, weight, p0=p_old, max_iters=max_iters)
             assert z_new.shape == z_old.shape and p_new.shape == p_old.shape
             # tobytes also tells +0.0 from -0.0
             assert z_new.tobytes() == z_old.tobytes()
             assert p_new.tobytes() == p_old.tobytes()
-            assert hist_new == hist_old
 
     def test_signed_zeros_in_warm_start_and_input_bitwise_equal(self, rng):
         u = rng.standard_normal((8, 8))
@@ -320,13 +340,10 @@ class TestTvProxAgainstPlainLoop:
         p0[0, -1, -2] = 0.0
         p0[1, -2, -1] = 0.0
         for max_iters in (0, 1, 3, 40):
-            hist_new: list = []
-            hist_old: list = []
-            z_new, p_new = tv_prox(u, 0.3, p0=p0, max_iters=max_iters, dual_history=hist_new)
-            z_old, p_old = tv_prox_plain_loop(u, 0.3, p0=p0, max_iters=max_iters, dual_history=hist_old)
+            z_new, p_new = tv_prox(u, 0.3, p0=p0, max_iters=max_iters)
+            z_old, p_old = tv_prox_plain_loop(u, 0.3, p0=p0, max_iters=max_iters)
             assert z_new.tobytes() == z_old.tobytes()
             assert p_new.tobytes() == p_old.tobytes()
-            assert hist_new == hist_old
 
     def test_non_contiguous_input_bitwise_equal(self, rng):
         for u in (rng.standard_normal((9, 8)).T, rng.standard_normal((8, 18))[:, ::2]):
@@ -344,12 +361,21 @@ class TestTvProxAgainstPlainLoop:
         with pytest.raises(FloatingPointError):
             TVIsoRegularizer(0.6, (5, 6)).prox(u.ravel(), 1.0)
 
-    def test_non_finite_warm_start_raises(self, rng):
+    @pytest.mark.parametrize("max_iters", [0, 1, 40])
+    def test_non_finite_warm_start_raises(self, rng, max_iters):
         u = rng.standard_normal((5, 6))
         p0 = np.zeros((2, 5, 6))
         p0[0, 1, 2] = np.nan
         with pytest.raises(FloatingPointError):
-            tv_prox(u, 0.3, p0=p0)
+            tv_prox(u, 0.3, p0=p0, max_iters=max_iters)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the cast overflows, then inf / inf
+    @pytest.mark.parametrize("max_iters", [0, 1, 40])
+    def test_entry_beyond_float32_range_raises(self, rng, max_iters):
+        u = rng.standard_normal((5, 6))
+        u[2, 3] = 1e39  # finite in float64, infinite once rounded to float32
+        with pytest.raises(FloatingPointError):
+            tv_prox(u, 0.3, max_iters=max_iters)
 
     def test_dual_field_within_unit_ball_after_each_projection(self, rng, monkeypatch):
         # a long dual step pushes most pixels far outside the ball, and one
@@ -359,7 +385,7 @@ class TestTvProxAgainstPlainLoop:
         u[:, ::2] *= 1e-9
         p = None
         for _ in range(30):
-            _, p = tv_prox(u, 1e-3, p0=p, max_iters=1, tol=0.0)
+            _, p = tv_prox(u, 1e-3, p0=p, max_iters=1)
             assert np.max(np.abs(p)) <= 1.0
         assert np.max(np.abs(p)) == 1.0
 
@@ -390,10 +416,8 @@ class TestTvProxPrecision:
         p32 = p64 = None
         for weight in (0.02, 0.3, 1.5):
             u = rng.standard_normal(shape)
-            z32, p32 = tv_prox(u, weight, p0=p32, max_iters=max_iters, tol=0.0)
-            z64, p64 = tv_prox_plain_loop(
-                u, weight, p0=p64, max_iters=max_iters, tol=0.0, dtype=np.float64
-            )
+            z32, p32 = tv_prox(u, weight, p0=p32, max_iters=max_iters)
+            z64, p64 = tv_prox_plain_loop(u, weight, p0=p64, max_iters=max_iters, dtype=np.float64)
             assert z64.dtype == np.float64
             assert np.max(np.abs(z32 - z64)) <= 1e-6 * max(1.0, float(np.max(np.abs(z32))))
 
@@ -500,14 +524,14 @@ class TestConstructionAndSerialization:
 
     def test_tv_settings_accept_numpy_scalars(self):
         reg = TVIsoRegularizer(0.5, (np.int64(3), 4), inner_max_iters=np.int32(7), inner_tol=0)
-        assert (reg.grid, reg.inner_max_iters, reg.inner_tol) == ((3, 4), 7, 0.0)
+        assert (reg.grid, reg.inner_max_iters) == ((3, 4), 7)
         assert type(reg.grid[0]) is int and type(reg.inner_max_iters) is int
 
 
 KINDS = {
     "l1": lambda tau: L1Regularizer(tau),
     "group-l2": lambda tau: GroupL2Regularizer(tau, [[0, 2], [1, 3]]),
-    "tv-iso": lambda tau: TVIsoRegularizer(tau, (2, 2), inner_max_iters=7, inner_tol=1e-3),
+    "tv-iso": lambda tau: TVIsoRegularizer(tau, (2, 2), inner_max_iters=7),
 }
 
 
@@ -551,6 +575,6 @@ class TestWeight:
         assert twin is not reg and type(twin) is type(reg)
         assert (reg.tau, twin.tau) == (0.5, 0.25)
         if kind == "tv-iso":
-            assert (twin.grid, twin.inner_max_iters, twin.inner_tol) == ((2, 2), 7, 1e-3)
+            assert (twin.grid, twin.inner_max_iters) == ((2, 2), 7)
         if kind == "group-l2":
             assert [g.tolist() for g in twin.groups] == [[0, 2], [1, 3]]
