@@ -9,13 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import solver  # a module import: solver imports this module too
+
 
 def read_pgm(path) -> np.ndarray:
     """Read a P2 (ASCII) or P5 (binary) PGM image into floats in [0, 1].
 
     A first header token other than ``P2`` or ``P5`` (checked before the
-    sizes are parsed), a header that ends before maxval, a short raster and
-    a sample outside ``[0, maxval]`` raise ``ValueError``.
+    sizes are parsed), a header that ends before maxval, a width, height or
+    maxval that is not an integer, a width or height below 1, a short
+    raster and a sample outside ``[0, maxval]`` raise ``ValueError``.
     """
     data = Path(path).read_bytes()
     tokens, pos = [], 0
@@ -36,7 +39,9 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"not a PGM file (magic {magic!r})")
     if not tokens[3]:  # the data ended before maxval
         raise ValueError("PGM header truncated")
-    width, height, maxval = (int(t) for t in tokens[1:4])
+    width = _header_integer("PGM width", tokens[1], minimum=1)
+    height = _header_integer("PGM height", tokens[2], minimum=1)
+    maxval = _header_integer("PGM maxval", tokens[3])
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"unsupported PGM maxval {maxval}")
     if magic == b"P5":
@@ -52,6 +57,15 @@ def read_pgm(path) -> np.ndarray:
     if np.any(raster > maxval) or np.any(raster < 0):
         raise ValueError(f"PGM samples must lie in [0, {maxval}]")
     return raster.reshape(height, width).astype(float) / maxval
+
+
+def _header_integer(name: str, token: bytes, minimum: int | None = None) -> int:
+    """A PGM header field as an int, checked by :func:`sparsa.solver.check_integer`."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = token  # not an integer: check_integer rejects it by name
+    return solver.check_integer(name, value, minimum)
 
 
 def write_records_csv(path, record_type, records):

@@ -14,14 +14,16 @@ import weakref
 
 import numpy as np
 
-from .solver import check_integer
+from .solver import check_integer, check_vector
 
 
 class LinearOperator:
     """Base class for matrix-free operators.
 
-    Subclasses set ``kind`` and implement ``_apply(x, out=None)`` /
-    ``_adjoint(y, out=None)`` on validated 1-D float arrays: each writes
+    ``apply`` and ``adjoint`` convert their argument to a float array and
+    check its length (:func:`sparsa.solver.check_vector`: the error names
+    ``x`` or ``y``). Subclasses implement ``_apply(x, out=None)`` /
+    ``_adjoint(y, out=None)`` on those validated 1-D arrays: each writes
     its result into ``out`` when given, else into a fresh array, and
     returns it. Instances are immutable after construction except for the
     ``forward_count`` and ``adjoint_count`` application counters, which
@@ -36,8 +38,6 @@ class LinearOperator:
     the set.
     """
 
-    kind = "abstract"
-
     def __init__(self, domain_dim: int, range_dim: int):
         self.domain_dim = check_integer("domain_dim", domain_dim, minimum=1)
         self.range_dim = check_integer("range_dim", range_dim, minimum=1)
@@ -48,13 +48,13 @@ class LinearOperator:
 
     def apply(self, x) -> np.ndarray:
         """Return ``A x``. Counts one forward application."""
-        x = self._check_vector(x, self.domain_dim, "apply")
+        x = check_vector("x", x, self.domain_dim)
         self.forward_count += 1
         return self._apply(x)
 
     def adjoint(self, y) -> np.ndarray:
         """Return ``A^T y``. Counts one adjoint application."""
-        y = self._check_vector(y, self.range_dim, "adjoint")
+        y = check_vector("y", y, self.range_dim)
         self.adjoint_count += 1
         return self._adjoint(y)
 
@@ -66,16 +66,7 @@ class LinearOperator:
         self.forward_count = 0
         self.adjoint_count = 0
 
-    # -- helpers ------------------------------------------------------------
-
-    def _check_vector(self, v, expected: int, what: str) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or v.shape[0] != expected:
-            raise ValueError(
-                f"{self.kind}.{what}: expected vector of length {expected}, "
-                f"got shape {v.shape}"
-            )
-        return v
+    # -- subclass hooks -----------------------------------------------------
 
     def _apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -108,8 +99,6 @@ class DenseOperator(LinearOperator):
     A read-only float64 array that owns its data is kept, since nothing can
     write to it; anything else (a writeable array, a view) is copied.
     """
-
-    kind = "dense"
 
     def __init__(self, matrix):
         float64 = type(matrix) is np.ndarray and matrix.dtype == np.float64
@@ -148,8 +137,6 @@ class PartialFourier2D(LinearOperator):
     ``Re(F^H zerofill(y))``. Each call runs the axis transforms of
     ``rfft2``/``irfft2`` in one fresh spectrum.
     """
-
-    kind = "partial-fourier-2d"
 
     def __init__(self, rows: int, cols: int, mask):
         self.rows = rows = check_integer("rows", rows, minimum=1)
@@ -275,8 +262,6 @@ class Blur2D(LinearOperator):
     into it.
     """
 
-    kind = "blur-2d"
-
     def __init__(self, rows: int, cols: int, mask_size: int = 8):
         self.rows = rows = check_integer("rows", rows, minimum=1)
         self.cols = cols = check_integer("cols", cols, minimum=1)
@@ -376,8 +361,6 @@ class HaarSynthesis2D(LinearOperator):
     this size (see :class:`LinearOperator`).
     """
 
-    kind = "haar-dwt-2d"
-
     def __init__(self, rows: int, cols: int, levels: int):
         self.rows = rows = check_integer("rows", rows, minimum=1)
         self.cols = cols = check_integer("cols", cols, minimum=1)
@@ -411,8 +394,6 @@ class ComposedOperator(LinearOperator):
     not move. The intermediate goes to image 3 of the work set shared by
     the operators of its size (see :class:`LinearOperator`).
     """
-
-    kind = "composition"
 
     def __init__(self, outer: LinearOperator, inner: LinearOperator):
         if inner.range_dim != outer.domain_dim:

@@ -217,6 +217,7 @@ def gen_deblur(
     """
     noise_std = check_real("noise_std", noise_std, minimum=0)
     if image is None:
+        rows, cols = check_integer("rows", rows, minimum=1), check_integer("cols", cols, minimum=1)
         image = test_pattern(rows, cols)
     elif isinstance(image, (str, os.PathLike)):
         image = read_pgm(image)
@@ -256,8 +257,10 @@ def gen_tv_phantom(
     sampling ratio exactly; DC is always kept. Starts from the adjoint
     of the observations.
     """
-    if rows != cols or rows < 1:
-        raise ValueError(f"phantom generator expects a nonempty square grid, got {rows}x{cols}")
+    rows = check_integer("rows", rows, minimum=1)
+    cols = check_integer("cols", cols, minimum=1)
+    if rows != cols:
+        raise ValueError(f"phantom generator expects a square grid, got {rows}x{cols}")
     sampling_ratio = check_real("sampling_ratio", sampling_ratio, positive=True)
     if sampling_ratio > 1:
         raise ValueError(f"sampling_ratio must be in (0, 1], got {sampling_ratio!r}")

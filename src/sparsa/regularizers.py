@@ -19,7 +19,7 @@ import copy
 
 import numpy as np
 
-from .solver import check_integer, check_real
+from .solver import check_integer, check_real, check_vector
 
 
 def soft_threshold(u: np.ndarray, t: float) -> np.ndarray:
@@ -34,16 +34,13 @@ def soft_threshold(u: np.ndarray, t: float) -> np.ndarray:
 class Regularizer:
     """Base class: the value psi(x) and the scaled proximal map.
 
-    No kind states its subdifferential: the solver certifies stationarity
-    from the prox's optimality condition at its last step, which holds for
-    every kind (see :mod:`sparsa.solver`). Instances are immutable and
-    shareable across solves; any per-solve iteration state (the TV dual
-    field and inner budget) lives in the object returned by
-    :meth:`make_prox_state`, owned by the caller.
+    No regularizer states its subdifferential: the solver certifies
+    stationarity from the prox's optimality condition at its last step,
+    which holds for every regularizer (see :mod:`sparsa.solver`). Instances
+    are immutable and shareable across solves; any per-solve iteration
+    state (the TV dual field and inner budget) lives in the object returned
+    by :meth:`make_prox_state`, owned by the caller.
     """
-
-    kind = "abstract"
-    dim = None  # the length of every vector argument; None takes any length
 
     def __init__(self, tau: float):
         self.tau = check_real("tau", tau, minimum=0)
@@ -54,10 +51,13 @@ class Regularizer:
     def prox(self, u, alpha: float, state=None) -> np.ndarray:
         """Solve ``argmin_z 0.5 ||z - u||^2 + psi(z) / (2 alpha)``.
 
-        Every kind first checks ``alpha`` (:meth:`_weight`: positive and
-        finite) and then the length of ``u`` (:meth:`_check_dim`). The
-        result is a new array, sharing no memory with ``u``: the solver
-        writes its step into ``u`` afterwards.
+        Every regularizer first checks ``alpha`` (:meth:`_weight`: positive
+        and finite) and then converts ``u`` to a float array with
+        :func:`sparsa.solver.check_vector`, which for the group and TV
+        regularizers also checks its length ``dim``; ``value`` checks ``x``
+        the same way. Either error names the argument. The result is a new
+        array, sharing no memory with ``u``: the solver writes its step into
+        ``u`` afterwards.
         """
         raise NotImplementedError
 
@@ -81,12 +81,6 @@ class Regularizer:
         twin.tau = check_real("tau", tau, minimum=0)
         return twin
 
-    def _check_dim(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.dim is not None and x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
-        return x
-
     def _weight(self, alpha) -> float:
         """The prox weight ``tau / (2 alpha)``; ``alpha`` must be positive and finite."""
         return self.tau / (2.0 * check_real("alpha", alpha, positive=True))
@@ -95,14 +89,13 @@ class Regularizer:
 class L1Regularizer(Regularizer):
     """psi(x) = tau * ||x||_1; prox is soft-thresholding at tau/(2 alpha)."""
 
-    kind = "l1"
 
     def value(self, x) -> float:
-        return self.tau * float(np.sum(np.abs(self._check_dim(x))))
+        return self.tau * float(np.sum(np.abs(check_vector("x", x))))
 
     def prox(self, u, alpha, state=None):
         t = self._weight(alpha)
-        return soft_threshold(self._check_dim(u), t)
+        return soft_threshold(check_vector("u", u), t)
 
 
 class GroupL2Regularizer(Regularizer):
@@ -111,8 +104,6 @@ class GroupL2Regularizer(Regularizer):
     ``groups`` must be a partition of the indices 0..n-1 into disjoint
     blocks; overlap or gaps are rejected at construction.
     """
-
-    kind = "group-l2"
 
     def __init__(self, tau: float, groups):
         super().__init__(tau)
@@ -125,12 +116,12 @@ class GroupL2Regularizer(Regularizer):
             raise ValueError("groups must partition indices 0..n-1 (disjoint, covering)")
 
     def value(self, x) -> float:
-        x = self._check_dim(x)
+        x = check_vector("x", x, self.dim)
         return self.tau * float(sum(np.linalg.norm(x[g]) for g in self.groups))
 
     def prox(self, u, alpha, state=None):
         t = self._weight(alpha)
-        u = self._check_dim(u)
+        u = check_vector("u", u, self.dim)
         z = np.empty_like(u)
         for g in self.groups:
             block = u[g]
@@ -349,8 +340,6 @@ class TVIsoRegularizer(Regularizer):
     It is still accepted because ``perfbench/make_reference.py`` passes it.
     """
 
-    kind = "tv-iso"
-
     def __init__(
         self,
         tau: float,
@@ -369,7 +358,7 @@ class TVIsoRegularizer(Regularizer):
         self.dim = self.grid[0] * self.grid[1]
 
     def value(self, x) -> float:
-        x = self._check_dim(x)
+        x = check_vector("x", x, self.dim)
         return self.tau * tv_value_2d(x.reshape(self.grid))
 
     def make_prox_state(self):
@@ -377,7 +366,7 @@ class TVIsoRegularizer(Regularizer):
 
     def prox(self, u, alpha, state=None):
         weight = self._weight(alpha)
-        u = self._check_dim(u)
+        u = check_vector("u", u, self.dim)
         if state is None:  # a call outside a solve: the constructor's budget, no warm start
             state = self.make_prox_state()
         z, state.p = tv_prox(u.reshape(self.grid), weight, p0=state.p, max_iters=state.max_iters)

@@ -91,6 +91,17 @@ def check_real(name: str, value, minimum: float | None = None, positive: bool = 
     return value
 
 
+def check_vector(name: str, value, length: int | None = None) -> np.ndarray:
+    """Return ``value`` as a float array, or raise ``ValueError`` naming ``name``.
+
+    When ``length`` is given, the array must have shape ``(length,)``.
+    """
+    value = np.asarray(value, dtype=float)
+    if length is not None and value.shape != (length,):
+        raise ValueError(f"{name}: expected vector of length {length}, got shape {value.shape}")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """The solver's settings: four fields a caller sets, the rest fixed.
@@ -227,10 +238,8 @@ def bb_seed(s: np.ndarray, y: np.ndarray, cfg: SolverConfig) -> float:
     [alpha_min, alpha_max] realizes the constrained minimum, which lands
     on alpha_min whenever curvature is nonpositive (s.y <= 0) or s = 0.
     """
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if s.shape != y.shape:
-        raise ValueError("s and y must have the same length")
+    s = check_vector("s", s)
+    y = check_vector("y", y, s.size)
     ss = float(s @ s)
     if ss == 0.0:
         return cfg.alpha_min

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from sparsa.linops import LinearOperator
+from sparsa.regularizers import GroupL2Regularizer, L1Regularizer
 
 
 class IdentityOperator(LinearOperator):
     """Test double: the identity map on R^n, counted like any operator."""
-
-    kind = "identity"
 
     def __init__(self, n: int):
         super().__init__(n, n)
@@ -26,22 +25,22 @@ class IdentityOperator(LinearOperator):
 def stationarity_residual(reg, x, g) -> float:
     """Max-norm distance from ``-g`` to the subdifferential of ``reg`` at ``x``.
 
-    The closed forms for the l1 and group-l2 kinds; with ``g = grad f(x)``
-    this is zero exactly at stationary points of ``f + psi``. Other kinds
-    have none and raise ``ValueError``.
+    The closed forms for the l1 and group-l2 regularizers; with
+    ``g = grad f(x)`` this is zero exactly at stationary points of
+    ``f + psi``. Other regularizers have none and raise ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     if x.shape != g.shape:
         raise ValueError("x and g must have the same length")
-    if reg.kind == "l1":
+    if isinstance(reg, L1Regularizer):
         res = np.where(
             x != 0,
             np.abs(g + reg.tau * np.sign(x)),
             np.maximum(np.abs(g) - reg.tau, 0.0),
         )
         return float(np.max(res)) if res.size else 0.0
-    if reg.kind == "group-l2":
+    if isinstance(reg, GroupL2Regularizer):
         worst = 0.0
         for grp in reg.groups:
             xb, gb = x[grp], g[grp]
@@ -52,7 +51,7 @@ def stationarity_residual(reg, x, g) -> float:
                 r = max(float(np.linalg.norm(gb)) - reg.tau, 0.0)
             worst = max(worst, r)
         return worst
-    raise ValueError(f"no closed-form stationarity residual for kind {reg.kind!r}")
+    raise ValueError(f"no closed-form stationarity residual for {type(reg).__name__}")
 
 
 def golden_min(f, lo, hi, tol=1e-14):

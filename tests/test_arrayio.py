@@ -81,6 +81,25 @@ class TestPgm:
             arrayio.read_pgm(path)
 
     @pytest.mark.parametrize(
+        "data, needle",
+        [
+            (b"P2\n0 0\n255\n", "PGM width must be positive"),
+            (b"P2\n-2 -1\n255\n0 1\n", "PGM width must be positive"),
+            (b"P5\n2 0\n255\n", "PGM height must be positive"),
+            (b"P2\n2 x\n255\n", "PGM height must be an integer"),
+            (b"P2\n2.5 2\n255\n0 1 2 3 4\n", "PGM width must be an integer"),
+            (b"P2\n1 1\n2x\n0\n", "PGM maxval must be an integer"),
+        ],
+        ids=["zero-size", "negative-size", "p5-zero-height", "non-integer-height",
+             "fractional-width", "non-integer-maxval"],
+    )
+    def test_bad_header_field_rejected_by_name(self, tmp_path, data, needle):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=needle):
+            arrayio.read_pgm(path)
+
+    @pytest.mark.parametrize(
         "data",
         [b"P6\n2 2\n255\n" + bytes(12), b"\x89PNG\r\n\x1a\n" + bytes(25), b""],
         ids=["p6", "png", "empty"],

@@ -219,7 +219,7 @@ class TestBadInput:
             ("bench", {"generator": BPDN, "repetitions": 0}, None, "repetitions"),
             ("bench", {"variants": []}, None, "generator"),
             ("bench", {"generator": {**BPDN, "params": {"spike": 4}}}, None, "spike"),
-            ("bench", {"generator": BPDN, "tolerances": [-1]}, None, "eps must be positive"),
+            ("bench", {"generator": BPDN, "tolerances": [-1]}, None, "tolerances must be positive"),
             ("solve", {**BPDN, "seed": 1.7}, None, "seed must be an integer"),
             ("bench", {"generator": BPDN, "tolerances": [1e-3, 1e-3]}, None, "distinct"),
             ("solve", {**DEBLUR, "params": {**DEBLUR["params"], "mask_size": 2.0}}, None,
@@ -247,7 +247,7 @@ class TestBadInput:
             ("solve", with_params(BPDN, spikes=-3), None, "spikes must be"),
             ("solve", with_params(BPDN, n=0, spikes=0), None, "n must be positive"),
             ("solve", with_params(GROUP, num_groups=0), None, "num_groups must be"),
-            ("solve", with_params(TV, rows=0, cols=0), None, "nonempty square grid"),
+            ("solve", with_params(TV, rows=0, cols=0), None, "rows must be positive"),
             ("solve", with_params(TV, num_lines=-3), None, "num_lines must be >= 0"),
             ("bench", {"generator": with_params(TV, num_lines=-3)}, None,
              "num_lines must be >= 0"),

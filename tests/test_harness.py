@@ -231,7 +231,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "patch, needle",
         [
-            ({"tolerances": [-1.0]}, "eps must be positive"),
+            ({"tolerances": [-1.0]}, "tolerances must be positive"),
             ({"tolerances": [1e-3, float("nan")]}, "tolerances must be finite"),
             ({"repetitions": 2.9}, "repetitions must be an integer"),
             ({"repetitions": True}, "repetitions must be an integer"),

@@ -73,10 +73,12 @@ class TestApplyAdjointBasics:
 
     def test_dimension_mismatch_raises(self):
         op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x: expected vector of length 2, got shape \(3,\)"):
             op.apply([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^y: expected vector of length 2, got shape \(3,\)"):
             op.adjoint([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"^y: expected vector of length 2, got shape \(2, 1\)"):
+            op.adjoint([[1.0], [2.0]])
 
 
 class TestAdjointConsistency:
@@ -89,7 +91,7 @@ class TestAdjointConsistency:
                 lhs = float(op.apply(x) @ y)
                 rhs = float(x @ op.adjoint(y))
                 bound = 1e-8 * (1 + np.linalg.norm(x) * np.linalg.norm(y))
-                assert abs(lhs - rhs) <= bound, op.kind
+                assert abs(lhs - rhs) <= bound, type(op).__name__
 
     def test_out_receives_the_same_bytes(self, rng):
         # the private ``out=`` path a composition uses writes what the public call returns
@@ -99,7 +101,7 @@ class TestAdjointConsistency:
             for private, public, v in ((op._apply, op.apply, x), (op._adjoint, op.adjoint, y)):
                 out = np.empty(public(v).size)
                 assert private(v, out) is out
-                assert out.tobytes() == public(v).tobytes(), op.kind
+                assert out.tobytes() == public(v).tobytes(), type(op).__name__
 
     @pytest.mark.parametrize("m", [8, 7], ids=["m8", "m7"])
     def test_blur_256_dot_product_identity(self, rng, m):

@@ -17,7 +17,7 @@ from sparsa.problems import (
     shepp_logan,
 )
 from sparsa.problems import test_pattern as make_test_pattern
-from sparsa.regularizers import L1Regularizer
+from sparsa.regularizers import L1Regularizer, TVIsoRegularizer
 from sparsa.solver import SolverConfig, solve
 from conftest import IdentityOperator, finite_difference_gradient, pgm_p5_bytes
 
@@ -262,7 +262,7 @@ class TestTvPhantom:
 
     def test_generated_problem_shape_and_start(self):
         p = gen_tv_phantom(rows=16, cols=16, num_lines=4, seed=0)
-        assert p.regularizer.kind == "tv-iso"
+        assert isinstance(p.regularizer, TVIsoRegularizer)
         assert p.regularizer.tau == 0.01
         assert p.op.domain_dim == 256
         # starting point is the adjoint of the observations
@@ -293,10 +293,15 @@ class TestTvPhantom:
         (gen_group, {"k": 8, "n": 16, "num_groups": True, "active_groups": 1}, "num_groups"),
         (gen_group, {"k": 8, "n": 16, "num_groups": 4, "active_groups": 1.0}, "active_groups"),
         (gen_group, {"k": 8, "n": 16, "num_groups": 4, "active_groups": True}, "active_groups"),
+        (gen_tv_phantom, {"rows": 16.0, "cols": 16.0}, "rows"),
+        (gen_tv_phantom, {"rows": 16, "cols": 16.0}, "cols"),
+        (gen_deblur, {"rows": 64.0, "cols": 64.0}, "rows"),
+        (gen_deblur, {"rows": 64, "cols": True}, "cols"),
     ],
     ids=["bool-noise", "string-noise", "fractional-num-lines", "float-spikes", "bool-spikes",
          "float-group-n", "bool-group-n", "float-num-groups", "bool-num-groups",
-         "float-active-groups", "bool-active-groups"],
+         "float-active-groups", "bool-active-groups", "float-phantom-rows", "float-phantom-cols",
+         "float-deblur-rows", "bool-deblur-cols"],
 )
 def test_non_number_argument_rejected_by_name(generator, kwargs, name):
     with pytest.raises(ValueError, match=f"{name} must be an? (integer|number)"):

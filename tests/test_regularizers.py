@@ -56,13 +56,13 @@ class TestValues:
                 assert mid <= 0.5 * (reg.value(x) + reg.value(y)) + 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^x: expected vector of length 2"):
             GroupL2Regularizer(1.0, [[0, 1]]).value([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^x: expected vector of length 4"):
             TVIsoRegularizer(1.0, (2, 2)).value([1.0, 2.0])
-        with pytest.raises(ValueError, match="expected vector of length 2"):
+        with pytest.raises(ValueError, match="^u: expected vector of length 2"):
             GroupL2Regularizer(1.0, [[0, 1]]).prox([1.0, 2.0, 3.0], alpha=1.0)
-        with pytest.raises(ValueError, match="expected vector of length 4"):
+        with pytest.raises(ValueError, match="^u: expected vector of length 4"):
             TVIsoRegularizer(1.0, (2, 2)).prox([1.0, 2.0], alpha=1.0)
 
 

@@ -75,7 +75,7 @@ class TestBbSeed:
         assert bb_seed([1e-20], [1e20], cfg) == 1e30
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^y: expected vector of length 1"):
             bb_seed([1.0], [1.0, 2.0], SolverConfig())
 
 
