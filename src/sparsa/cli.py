@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrayio import write_json
+from .continuation import ContinuationSchedule
 from .harness import (
     ExperimentSpec,
     error_vs_matvec_curve,
@@ -61,6 +62,8 @@ def cmd_solve(args):
             cfg = cfg.replaced(eps=args.eps)
     with _input("--spec"):
         problem = GeneratorSpec.from_dict(_load_json(args.spec)).make()
+        if args.continuation:  # a zero weight has no schedule: fail before --out exists
+            ContinuationSchedule(tau_target=problem.regularizer.tau)
     variant = Variant("cli", cfg, continuation=args.continuation)
     res = run_one(problem, variant, cfg.eps)
     out = Path(args.out)

@@ -38,6 +38,7 @@ from .solver import check_integer, check_real
 
 
 def _substreams(seed: int):
+    seed = check_integer("seed", seed, minimum=0)
     matrix_ss, signal_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
     return (
         np.random.default_rng(matrix_ss),
@@ -224,6 +225,8 @@ def gen_deblur(
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError(f"image must be a 2-D array, got shape {image.shape}")
+    if not np.all(np.isfinite(image)):
+        raise ValueError("image must be finite")
     rows, cols = image.shape
     _, _, rng_noise = _substreams(seed)
     blur = Blur2D(rows, cols, mask_size)
@@ -392,10 +395,10 @@ class GeneratorSpec:
     """(family, params, seed) description of a generated problem.
 
     An unknown family, a param the family's generator does not take, a
-    non-integer value for the seed or any other ``int`` parameter, or a
-    non-number, NaN or infinity for a ``float`` parameter fails here,
-    before anything is generated. A parameter annotated ``... | None``
-    also takes ``None``.
+    negative or non-integer seed, a non-integer value for any other ``int``
+    parameter, or a non-number, NaN or infinity for a ``float`` parameter
+    fails here, before anything is generated. A parameter annotated
+    ``... | None`` also takes ``None``.
     """
 
     family: str
@@ -405,6 +408,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in GENERATORS:
             raise ValueError(f"unknown family {self.family!r}")
+        check_integer("seed", self.seed, minimum=0)
         signature = inspect.signature(GENERATORS[self.family], eval_str=True)
         bound = signature.bind(seed=self.seed, **self.params)
         for name, value in bound.arguments.items():

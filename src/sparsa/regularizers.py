@@ -87,8 +87,11 @@ class Regularizer:
 
 
 class L1Regularizer(Regularizer):
-    """psi(x) = tau * ||x||_1; prox is soft-thresholding at tau/(2 alpha)."""
+    """psi(x) = tau * ||x||_1; prox is soft-thresholding at tau/(2 alpha).
 
+    At ``tau = 0`` (a smooth problem) the prox copies ``u`` but maps -0.0
+    to +0.0, and the value is NaN at an infinite or NaN entry.
+    """
 
     def value(self, x) -> float:
         return self.tau * float(np.sum(np.abs(check_vector("x", x))))

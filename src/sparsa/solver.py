@@ -13,9 +13,8 @@ satisfies the acceptance test
 where ``phi = f + psi`` and ``phi_ref`` is a reference value picked by
 either the max-of-recent-objectives policy ("gll-max") or a relaxed
 adaptive policy ("adaptive"). The run stops when
-``alpha * ||x_next - x||_inf <= eps`` (status "converged"), when the
-iterate repeats exactly (status "stationary"), or at the iteration cap
-(status "iter-limit").
+``alpha * ||x_next - x||_inf <= eps`` (status "converged", also for an
+exactly repeated iterate) or at the iteration cap (status "iter-limit").
 
 The summary's ``final_residual`` certifies stationarity at no extra
 cost. An exact prox gives ``0 in grad(x) + 2 alpha (x_next - x) +
@@ -43,7 +42,6 @@ if TYPE_CHECKING:  # regularizers imports this module's checks
     from .regularizers import Regularizer
 
 STATUS_CONVERGED = "converged"
-STATUS_STATIONARY = "stationary"
 STATUS_ITER_LIMIT = "iter-limit"
 
 REF_GLL = "gll-max"
@@ -179,8 +177,7 @@ class SolveSummary:
 
     ``final_residual`` is the certificate of the module docstring at the
     last accepted step, an element of ``grad f + d psi`` at the final
-    iterate (for tv-iso, up to the inner solve's error); it is 0.0 when
-    the status is "stationary".
+    iterate (for tv-iso, up to the inner solve's error).
     """
 
     status: str
@@ -398,8 +395,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         )
         if prox_state is not None:
             prox_state.note_backtracks(j)
-        diff_inf = float(np.abs(diff).max())
-        step_inf = alpha * diff_inf
+        step_inf = alpha * float(np.abs(diff).max())
         records.append(
             TraceRecord(
                 k=k,
@@ -415,10 +411,6 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
             )
         )
 
-        if diff_inf == 0.0:
-            status = STATUS_STATIONARY
-            break
-
         g_new = problem.f_grad(z)
         s_prev = diff
         y_prev = g_new - g
@@ -428,16 +420,13 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
             status = STATUS_CONVERGED
             break
 
-    if status == STATUS_STATIONARY:
-        final_residual = 0.0
-    else:  # y_prev - 2 alpha s_prev lies in grad f(x) + d psi(x)
-        final_residual = float(np.max(np.abs(y_prev - 2.0 * alpha * s_prev)))
     summary = SolveSummary(
         status=status,
         iters=len(records),
         matvecs=problem.matvec_total - matvecs0,
         final_obj=obj,
-        final_residual=final_residual,
+        # y_prev - 2 alpha s_prev lies in grad f(x) + d psi(x)
+        final_residual=float(np.max(np.abs(y_prev - 2.0 * alpha * s_prev))),
         wall_time=time.perf_counter() - t0,
     )
     return SolveResult(x=x, trace=Trace(records, summary))

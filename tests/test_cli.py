@@ -257,6 +257,10 @@ class TestBadInput:
              "tau must be finite"),
             ("bench", {"generator": BPDN, "variants": [{"name": "v", "config": {"eps": 0.1}}]},
              None, "list it in tolerances"),
+            ("solve", with_params(DEBLUR, image=[[float("nan")] * 8] * 8), None,
+             "image must be finite"),
+            ("solve", {**BPDN, "seed": -1}, None, "seed must be >= 0"),
+            ("bench", {"generator": {**BPDN, "seed": -1}}, None, "seed must be >= 0"),
         ],
         ids=[
             "missing-file", "bad-json", "unknown-spec-key", "unknown-param",
@@ -270,6 +274,7 @@ class TestBadInput:
             "tv-negative-sampling-ratio", "bpdn-negative-spikes", "bpdn-zero-n", "group-zero-groups",
             "tv-zero-rows", "tv-negative-num-lines", "bench-tv-negative-num-lines",
             "deblur-scalar-image", "group-k-above-n", "bench-inf-tau", "bench-variant-eps",
+            "deblur-nan-image", "negative-seed", "bench-negative-seed",
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, spec, config, needle):
@@ -287,6 +292,18 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert needle in err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    def test_continuation_with_zero_weight(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(with_params(BPDN, tau=0.0)))
+        argv = ["solve", "--spec", str(spec_path), "--out", str(tmp_path / "out"), "--continuation"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "tau_target must be positive" in err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["rates", "curve"])

@@ -60,8 +60,10 @@ class TestSolveWithContinuation:
         sched = ContinuationSchedule(tau_target=2.0 * scale)
         res = solve_with_continuation(prob, sched, SolverConfig())
         assert np.all(res.x == 0)
-        assert res.status == "stationary"
+        assert res.status == "converged"
         assert len(res.trace.records) == 1
+        assert res.trace.summary.final_residual == 0.0
+        assert res.trace.summary.matvecs == 8
 
     def test_warm_start_objective_consistency(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=2, tau=1e-3)

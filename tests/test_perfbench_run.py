@@ -47,6 +47,22 @@ def test_run_solve_passes_its_checks(perfbench, use_continuation):
     assert abs(out.gap) <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "use_continuation, matvecs", [(False, 6), (True, 8)], ids=["plain", "continuation"]
+)
+def test_run_solve_accepts_an_exact_optimum(perfbench, use_continuation, matvecs):
+    # above ||A^T b||_inf the optimum is x = 0, the starting point itself
+    run, workloads = perfbench
+    plain = small_bpdn()
+    tau = 2.0 * float(np.max(np.abs(plain.op.adjoint(plain.b))))
+    problem = plain.replaced(regularizer=plain.regularizer.with_tau(tau))
+    reference = 0.5 * float(plain.b @ plain.b)
+    cell = workloads.Cell("gll", tau, workloads.GLL, continuation=use_continuation)
+    out = run.run_solve(0, cell, problem, reference, gap_tol=1e-3)
+    assert out.errors == []
+    assert out.matvecs == matvecs
+
+
 def test_stage_traces_split_a_continuation_run(perfbench):
     run, workloads = perfbench
     schedule = continuation.ContinuationSchedule(tau_target=TAU)

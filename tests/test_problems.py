@@ -213,6 +213,10 @@ class TestDeblur:
             assert a.b.tobytes() == b.b.tobytes()
             assert a.x_true.tobytes() == b.x_true.tobytes()
 
+    def test_non_finite_image_rejected(self):
+        with pytest.raises(ValueError, match="image must be finite"):
+            gen_deblur(np.full((8, 8), np.nan), mask_size=3, levels=1)
+
     @pytest.mark.parametrize("image", [5, [[[0.5]]]], ids=["scalar", "3-d"])
     def test_image_not_2d_rejected(self, image):
         with pytest.raises(ValueError, match="image must be a 2-D array"):
@@ -349,6 +353,13 @@ class TestGeneratorSpec:
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             GeneratorSpec.from_dict({"family": "bpdn", "seed": seed})
+
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    def test_negative_seed_rejected(self, family):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GeneratorSpec(family, {}, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GENERATORS[family](seed=-1)
 
     @pytest.mark.parametrize(
         "family, params, name",
