@@ -27,7 +27,7 @@ from .harness import (
     fit_rates,
     run_experiment,
     run_one,
-    Variant,
+    solve_record,
     write_curve_csv,
 )
 from .problems import GeneratorSpec
@@ -51,6 +51,12 @@ def _input(option):
         raise BadInput(f"{option}: {type(exc).__name__}: {exc}") from None
 
 
+def _check_problem(problem, continuation: bool):
+    """Before --out exists, reject a zero weight under continuation: it has no schedule."""
+    if continuation:
+        ContinuationSchedule(tau_target=problem.regularizer.tau)
+
+
 def cmd_solve(args):
     if args.print_config:
         print(json.dumps(asdict(SolverConfig()), indent=2))
@@ -62,16 +68,12 @@ def cmd_solve(args):
             cfg = cfg.replaced(eps=args.eps)
     with _input("--spec"):
         problem = GeneratorSpec.from_dict(_load_json(args.spec)).make()
-        if args.continuation:  # a zero weight has no schedule: fail before --out exists
-            ContinuationSchedule(tau_target=problem.regularizer.tau)
-    variant = Variant("cli", cfg, continuation=args.continuation)
-    res = run_one(problem, variant, cfg.eps)
+        _check_problem(problem, args.continuation)
+    res = run_one(problem, cfg, args.continuation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     res.trace.write_csv(out / "trace.csv")
-    summary = asdict(res.trace.summary)
-    if variant.continuation:
-        summary["stages"] = res.stages
+    summary = solve_record(res)
     write_json(out / "summary.json", summary)
     np.save(out / "x.npy", res.x)
     print(
@@ -88,7 +90,7 @@ def cmd_bench(args):
         return 0
     with _input("--spec"):
         spec = ExperimentSpec.from_dict(_load_json(args.spec))
-        spec.generator.make()  # a generator argument out of range fails before --out exists
+        _check_problem(spec.generator.make(), any(v.continuation for v in spec.variants))
     rows, _ = run_experiment(spec, args.out)
     for row in rows:
         print(

@@ -92,7 +92,8 @@ def solve_with_continuation(
         try:
             result = solve(stage_problem, stage_cfg)
         except Exception as exc:
-            raise RuntimeError(f"continuation stage {i} (tau={tau_i:g}) failed") from exc
+            cause = f"{type(exc).__name__}: {exc}"
+            raise RuntimeError(f"continuation stage {i} (tau={tau_i:g}) failed: {cause}") from exc
         spent = result.trace.summary
         offset = len(records)
         for rec in result.trace.records:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrayio
-from .continuation import ContinuationSchedule, solve_with_continuation
+from .continuation import ContinuationResult, ContinuationSchedule, solve_with_continuation
 from .problems import GeneratorSpec
 from .solver import SolveResult, SolverConfig, Trace, check_integer, check_real, solve
 
@@ -121,14 +121,9 @@ def error_vs_matvec_curve(trace: Trace, phi_star: float) -> np.ndarray:
     """
     phi_star = check_real("phi_star", phi_star)
     objs = trace.objective_values(include_final=False)
-    best = min(
-        float(objs.min()),
-        trace.summary.final_obj if trace.summary is not None else float("inf"),
-    )
+    best = float(trace.objective_values().min())
     if phi_star > best + 1e-9:
-        raise ValueError(
-            f"phi_star={phi_star!r} exceeds the best observed objective {best!r}"
-        )
+        raise ValueError(f"phi_star={phi_star!r} exceeds the best observed objective {best!r}")
     return np.column_stack([trace.matvec_values(), objs - phi_star])
 
 
@@ -232,13 +227,18 @@ class ExperimentSpec:
         return cls(**d | converted)
 
 
-def run_one(problem, variant: Variant, eps: float) -> SolveResult:
-    """Solve one cell; a continuation variant's result is a ``ContinuationResult``."""
-    cfg = variant.config.replaced(eps=eps)
-    if variant.continuation:
+def run_one(problem, cfg: SolverConfig, continuation: bool) -> SolveResult:
+    """Solve one cell; under ``continuation`` the result is a ``ContinuationResult``."""
+    if continuation:
         schedule = ContinuationSchedule(tau_target=problem.regularizer.tau)
         return solve_with_continuation(problem, schedule, cfg)
     return solve(problem, cfg)
+
+
+def solve_record(result: SolveResult) -> dict:
+    """The JSON view of a solve: its summary, plus its stages under continuation."""
+    stages = {"stages": result.stages} if isinstance(result, ContinuationResult) else {}
+    return asdict(result.trace.summary) | stages
 
 
 @dataclass
@@ -257,8 +257,8 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> tuple[list[TableRow], dict]
     """Run every cell; write ``table.csv``, ``manifest.json`` and ``traces/`` to ``out_dir``.
 
     Returns (table rows, manifest). A manifest cell is its (variant, eps,
-    rep, seed), the solve's summary less its wall time, and any
-    continuation stages, so rerunning reproduces every cell bit for bit.
+    rep, seed) and the ``solve_record`` of ``run_one`` at that tolerance, less
+    its wall time, so rerunning reproduces every cell bit for bit.
     The table's wall time is the mean of the summaries' own. A failed cell
     is recorded in the manifest and skipped in the means.
     """
@@ -275,14 +275,12 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> tuple[list[TableRow], dict]
                 cell = {"variant": variant.name, "eps": eps, "rep": rep, "seed": seed}
                 cells.append(cell)
                 try:
-                    res = run_one(problem, variant, eps)
+                    res = run_one(problem, variant.config.replaced(eps=eps), variant.continuation)
                 except Exception as exc:  # record and continue with other cells
                     cell["error"] = f"{type(exc).__name__}: {exc}"
                     continue
-                cell |= asdict(res.trace.summary)
+                cell |= solve_record(res)
                 del cell["wall_time"]  # reported only in the table
-                if variant.continuation:
-                    cell["stages"] = res.stages
                 finished.setdefault((variant.name, eps), []).append(res.trace.summary)
                 trace_name = f"{variant.file_stem}_eps{eps:g}_rep{rep}.csv"
                 res.trace.write_csv(out / "traces" / trace_name)

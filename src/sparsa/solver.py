@@ -210,7 +210,10 @@ class Trace:
 
     @classmethod
     def read_csv(cls, path) -> "Trace":
-        return cls(records=arrayio.read_records_csv(path, TraceRecord))
+        records = arrayio.read_records_csv(path, TraceRecord)
+        if not records:  # no rate fit or curve reads an empty trace
+            raise ValueError(f"{path} holds no trace records")
+        return cls(records=records)
 
 
 @dataclass
@@ -439,14 +442,10 @@ def acceptance_violation(trace: Trace, sigma: float) -> float:
     across consecutive records, using the summary's final objective for
     the last one. Nonpositive means every inequality holds as logged.
     """
-    recs = trace.records
-    if not recs:
+    if not trace.records:
         return 0.0
-    next_objs = [r.obj for r in recs[1:]]
-    if trace.summary is not None:
-        next_objs.append(trace.summary.final_obj)
     worst = -math.inf
-    for rec, nxt in zip(recs, next_objs):
+    for rec, nxt in zip(trace.records, trace.objective_values()[1:].tolist()):
         bound = rec.phi_ref - sigma * rec.alpha_accepted * rec.step_norm**2
         worst = max(worst, (nxt - bound) / max(1.0, abs(rec.phi_ref)))
     return worst

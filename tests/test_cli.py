@@ -53,7 +53,7 @@ class TestSolve:
         out = tmp_path / "run"
         assert main(["solve", "--spec", str(spec_path), "--out", str(out)]) == 0
         cfg = SolverConfig()
-        res = run_one(GeneratorSpec.from_dict(spec).make(), Variant("cli", cfg), cfg.eps)
+        res = run_one(GeneratorSpec.from_dict(spec).make(), cfg, False)
         x_path = out / "x.npy"
         assert np.load(x_path).tobytes() == res.x.tobytes()
         # the .npy header records the length, so a truncated file is refused
@@ -294,10 +294,17 @@ class TestBadInput:
         assert needle in err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
 
-    def test_continuation_with_zero_weight(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_continuation_with_zero_weight(self, tmp_path, capsys, command):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(with_params(BPDN, tau=0.0)))
-        argv = ["solve", "--spec", str(spec_path), "--out", str(tmp_path / "out"), "--continuation"]
+        zero = with_params(BPDN, tau=0.0)
+        if command == "solve":
+            spec, flags = zero, ["--continuation"]
+        else:
+            variants = [{"name": "plain"}, {"name": "c", "continuation": True}]
+            spec, flags = {"generator": zero, "variants": variants}, []
+        spec_path.write_text(json.dumps(spec))
+        argv = [command, "--spec", str(spec_path), "--out", str(tmp_path / "out"), *flags]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -309,8 +316,13 @@ class TestBadInput:
     @pytest.mark.parametrize("command", ["rates", "curve"])
     @pytest.mark.parametrize(
         "content, needle",
-        [(None, "No such file"), ("k,obj\n1,0.5\n", "KeyError")],
-        ids=["missing-file", "missing-column"],
+        [
+            (None, "No such file"),
+            ("k,obj\n1,0.5\n", "KeyError"),
+            (",".join(f.name for f in fields(TraceRecord)) + "\n", "holds no trace records"),
+            ("k,obj\n", "holds no trace records"),
+        ],
+        ids=["missing-file", "missing-column", "header-only", "header-missing-columns"],
     )
     def test_unreadable_trace(self, tmp_path, capsys, command, content, needle):
         trace_path = tmp_path / "trace.csv"
@@ -320,7 +332,9 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert needle in capsys.readouterr().err.splitlines()[-1]
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert "error: --trace: " in line and needle in line
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv, needle",
@@ -478,7 +492,7 @@ class TestFileContract:
             [r.mean_wall_time for r in rows], abs=1e-6
         )
 
-        res = run_one(spec.generator.make(), spec.variants[1], 1e-4)
+        res = run_one(spec.generator.make(), SolverConfig(eps=1e-4), True)
         res.trace.write_csv(tmp_path / "trace.csv")
         trace = parse_records(tmp_path / "trace.csv", TraceRecord)
         assert [without_wall_times(r) for r in trace] == [

@@ -3,9 +3,10 @@ import pytest
 
 from sparsa import continuation
 from sparsa.continuation import ContinuationSchedule, solve_with_continuation
-from sparsa.problems import OracleProblem, gen_bpdn
+from sparsa.harness import ExperimentSpec, Variant, run_experiment
+from sparsa.problems import GeneratorSpec, OracleProblem, gen_bpdn
 from sparsa.regularizers import L1Regularizer, soft_threshold
-from sparsa.solver import SolverConfig, solve
+from sparsa.solver import BacktrackLimitExceeded, SolverConfig, solve
 from conftest import stationarity_residual
 
 
@@ -117,6 +118,34 @@ class TestSolveWithContinuation:
             last.status, last.final_obj, last.final_residual
         )
         assert merged is not last
+
+    def test_failed_stage_keeps_its_cause(self, monkeypatch, tmp_path):
+        taus = []
+
+        def failing_solve(problem, cfg):
+            taus.append(problem.regularizer.tau)
+            if len(taus) == 2:
+                raise BacktrackLimitExceeded("line search gave up")
+            return solve(problem, cfg)
+
+        monkeypatch.setattr(continuation, "solve", failing_solve)
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-4)
+        with pytest.raises(RuntimeError) as exc:
+            solve_with_continuation(prob, ContinuationSchedule(tau_target=1e-4))
+        message = (
+            f"continuation stage 1 (tau={taus[1]:g}) failed: "
+            "BacktrackLimitExceeded: line search gave up"
+        )
+        assert str(exc.value) == message
+        assert isinstance(exc.value.__cause__, BacktrackLimitExceeded)
+
+        taus.clear()
+        spec = ExperimentSpec(
+            generator=GeneratorSpec("bpdn", {"k": 32, "n": 128, "spikes": 10, "tau": 1e-4}, 3),
+            variants=[Variant("c", continuation=True)],
+        )
+        _, manifest = run_experiment(spec, tmp_path)
+        assert manifest["cells"][0]["error"] == f"RuntimeError: {message}"
 
     def test_merged_columns_never_decrease(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-3)

@@ -277,6 +277,22 @@ class TestTvPhantom:
         with pytest.raises(ValueError):
             gen_tv_phantom(rows=16, cols=32, seed=0)
 
+    def test_noise_is_the_third_substream(self, rng):
+        kwargs = {"rows": 16, "cols": 16, "num_lines": 4, "seed": 5}
+        clean = gen_tv_phantom(**kwargs)
+        noisy = gen_tv_phantom(**kwargs, noise_std=0.01)
+        assert noisy.b.tobytes() == gen_tv_phantom(**kwargs, noise_std=0.01).b.tobytes()
+        draw = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[2]).normal(
+            0.0, 0.01, size=clean.b.shape
+        )
+        # compared as a sum: (b + draw) - b need not round back to draw
+        assert noisy.b.tobytes() == (clean.b + draw).tobytes()
+        assert noisy.x_true.tobytes() == clean.x_true.tobytes()
+        # the same mask: every sample is read from the same spectrum slot
+        assert noisy.op._read_at.tobytes() == clean.op._read_at.tobytes()
+        x = rng.standard_normal(clean.op.domain_dim)
+        assert noisy.op.apply(x).tobytes() == clean.op.apply(x).tobytes()
+
     def test_negative_num_lines_rejected(self):
         with pytest.raises(ValueError, match="num_lines must be >= 0"):
             gen_tv_phantom(rows=8, cols=8, num_lines=-3)
