@@ -9,7 +9,7 @@ generators, a continuation wrapper for small regularization weights, and
 a benchmark harness that fits sublinear / R-linear convergence rates.
 """
 
-from .continuation import ContinuationResult, ContinuationSchedule, solve_with_continuation
+from .continuation import ContinuationSchedule, solve_with_continuation
 from .harness import (
     ExperimentSpec,
     RateFit,

@@ -51,12 +51,6 @@ def _input(option):
         raise BadInput(f"{option}: {type(exc).__name__}: {exc}") from None
 
 
-def _check_problem(problem, continuation: bool):
-    """Before --out exists, reject a zero weight under continuation: it has no schedule."""
-    if continuation:
-        ContinuationSchedule(tau_target=problem.regularizer.tau)
-
-
 def cmd_solve(args):
     if args.print_config:
         print(json.dumps(asdict(SolverConfig()), indent=2))
@@ -68,7 +62,8 @@ def cmd_solve(args):
             cfg = cfg.replaced(eps=args.eps)
     with _input("--spec"):
         problem = GeneratorSpec.from_dict(_load_json(args.spec)).make()
-        _check_problem(problem, args.continuation)
+        if args.continuation:  # before --out exists: a zero weight has no schedule
+            ContinuationSchedule(tau_target=problem.regularizer.tau)
     res = run_one(problem, cfg, args.continuation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -90,8 +85,8 @@ def cmd_bench(args):
         return 0
     with _input("--spec"):
         spec = ExperimentSpec.from_dict(_load_json(args.spec))
-        _check_problem(spec.generator.make(), any(v.continuation for v in spec.variants))
-    rows, _ = run_experiment(spec, args.out)
+        # builds the first problem and checks its weight before writing to --out
+        rows, _ = run_experiment(spec, args.out)
     for row in rows:
         print(
             f"{row.variant:>12}  eps={row.eps:<8g} "

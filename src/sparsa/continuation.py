@@ -52,18 +52,11 @@ class ContinuationSchedule:
         return taus
 
 
-@dataclass
-class ContinuationResult(SolveResult):
-    """A solve result plus each stage's weight and cost (tau, iters, matvecs)."""
-
-    stages: list[dict]
-
-
 def solve_with_continuation(
     problem,
     schedule: ContinuationSchedule,
     cfg: SolverConfig | None = None,
-) -> ContinuationResult:
+) -> SolveResult:
     """Warm-started solves over the schedule's weights.
 
     The combined trace renumbers iterations across stages and offsets each
@@ -71,7 +64,9 @@ def solve_with_continuation(
     stages spent, so both only go up. Matvecs count from the start of this
     call, including the one gradient evaluation used to size the initial
     weight; wall time is the sum of the stage solves. Every stage's cost
-    comes from its own solve summary, which also fills ``stages``.
+    comes from its own solve summary, and ``stages`` concatenates the
+    solves' own, so a weight whose solve switched from float32 to float64
+    has two entries.
     """
     cfg = cfg or SolverConfig()
     x_warm = np.asarray(problem.x1, dtype=float)
@@ -105,10 +100,10 @@ def solve_with_continuation(
                     wall_time=rec.wall_time + wall_time,
                 )
             )
-        stages.append({"tau": tau_i, "iters": spent.iters, "matvecs": spent.matvecs})
+        stages += result.stages
         matvecs += spent.matvecs
         wall_time += spent.wall_time
         x_warm = result.x
 
     summary = replace(spent, iters=len(records), matvecs=matvecs, wall_time=wall_time)
-    return ContinuationResult(x=result.x, trace=Trace(records, summary), stages=stages)
+    return SolveResult(x=result.x, trace=Trace(records, summary), stages=stages)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrayio
-from .continuation import ContinuationResult, ContinuationSchedule, solve_with_continuation
+from .continuation import ContinuationSchedule, solve_with_continuation
 from .problems import GeneratorSpec
 from .solver import SolveResult, SolverConfig, Trace, check_integer, check_real, solve
 
@@ -228,7 +228,7 @@ class ExperimentSpec:
 
 
 def run_one(problem, cfg: SolverConfig, continuation: bool) -> SolveResult:
-    """Solve one cell; under ``continuation`` the result is a ``ContinuationResult``."""
+    """Solve one cell, under ``continuation`` through the weight schedule."""
     if continuation:
         schedule = ContinuationSchedule(tau_target=problem.regularizer.tau)
         return solve_with_continuation(problem, schedule, cfg)
@@ -236,9 +236,8 @@ def run_one(problem, cfg: SolverConfig, continuation: bool) -> SolveResult:
 
 
 def solve_record(result: SolveResult) -> dict:
-    """The JSON view of a solve: its summary, plus its stages under continuation."""
-    stages = {"stages": result.stages} if isinstance(result, ContinuationResult) else {}
-    return asdict(result.trace.summary) | stages
+    """The JSON view of a solve: its summary plus its stages."""
+    return asdict(result.trace.summary) | {"stages": result.stages}
 
 
 @dataclass
@@ -261,6 +260,10 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> tuple[list[TableRow], dict]
     its wall time, so rerunning reproduces every cell bit for bit.
     The table's wall time is the mean of the summaries' own. A failed cell
     is recorded in the manifest and skipped in the means.
+
+    Nothing is written before the first repetition's problem is built and,
+    when a variant runs under continuation, its weight has a schedule: a
+    generator that rejects its arguments, or a zero weight, raises first.
     """
     out = Path(out_dir)
     cells = []
@@ -268,8 +271,10 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> tuple[list[TableRow], dict]
     for rep in range(spec.repetitions):
         seed = spec.generator.seed + rep
         problem = spec.generator.with_seed(seed).make()
-        # created after the first problem: a generator that rejects its arguments writes nothing
-        (out / "traces").mkdir(parents=True, exist_ok=True)
+        if rep == 0:
+            if any(v.continuation for v in spec.variants):
+                ContinuationSchedule(tau_target=problem.regularizer.tau)
+            (out / "traces").mkdir(parents=True, exist_ok=True)
         for eps in spec.tolerances:
             for variant in spec.variants:
                 cell = {"variant": variant.name, "eps": eps, "rep": rep, "seed": seed}

@@ -117,6 +117,65 @@ class DenseOperator(LinearOperator):
         return np.matmul(self.matrix.T, y, out=out)
 
 
+# the float32 copy of a dense matrix (see Float32DenseOperator): one slot,
+# replaced only when a matrix of a new shape comes
+_float32_slot = np.empty((0, 0), dtype=np.float32)
+
+
+class Float32DenseOperator(LinearOperator):
+    """A :class:`DenseOperator`'s products in float32, counted on it.
+
+    Inputs are rounded to float32 and results widened to float64. The
+    float32 matrix is the module's one slot, refilled from ``dense.matrix``
+    when this operator is made, so it is valid until the next one is made:
+    a solve makes one for its float32 stage and drops it at the switch to
+    float64. The slot is not allocated per operator, so building a problem
+    does not copy its matrix; like the work images it is safe because the
+    package is single-threaded. ``forward_count`` and ``adjoint_count`` are
+    ``dense``'s, so its counters take every float32 product.
+    """
+
+    def __init__(self, dense: DenseOperator):
+        global _float32_slot
+        if _float32_slot.shape != dense.matrix.shape:
+            _float32_slot = np.empty((0, 0), dtype=np.float32)  # drop the old copy first
+            _float32_slot = np.empty(dense.matrix.shape, dtype=np.float32)
+        np.copyto(_float32_slot, dense.matrix, casting="same_kind")
+        self.matrix = _float32_slot
+        self.dense = dense
+        # not LinearOperator.__init__: it would zero dense's counters
+        self.domain_dim, self.range_dim = dense.domain_dim, dense.range_dim
+
+    @property
+    def forward_count(self) -> int:
+        return self.dense.forward_count
+
+    @forward_count.setter
+    def forward_count(self, value: int):
+        self.dense.forward_count = value
+
+    @property
+    def adjoint_count(self) -> int:
+        return self.dense.adjoint_count
+
+    @adjoint_count.setter
+    def adjoint_count(self, value: int):
+        self.dense.adjoint_count = value
+
+    @staticmethod
+    def _widened(product: np.ndarray, out) -> np.ndarray:
+        if out is None:
+            return product.astype(np.float64)
+        out[...] = product
+        return out
+
+    def _apply(self, x, out=None):
+        return self._widened(self.matrix @ x.astype(np.float32), out)
+
+    def _adjoint(self, y, out=None):
+        return self._widened(self.matrix.T @ y.astype(np.float32), out)
+
+
 class PartialFourier2D(LinearOperator):
     """Masked 2-D DFT of an image, with real/imaginary parts stacked.
 

@@ -23,6 +23,17 @@ built from the spectral seed's ``y`` and ``s``, lies in ``grad f(x_next) +
 d psi(x_next)``; its max norm is the residual, which the stop value
 ``alpha ||x_next - x||_inf`` only about halves. For tv-iso it holds up to
 the inner TV solve's error.
+
+A problem whose ``float32_stage()`` returns a float32 view of itself (a
+large dense least-squares problem) runs in two precision stages within
+the one loop. Stage 1 evaluates f and its gradient through the view and
+stops when the step test passes at ``max(eps, FLOAT32_EPS_FLOOR)``. The
+loop then recomputes f and the gradient at x in float64 (three counted
+matvecs), puts the float64 objective in place of the window's last entry,
+so ``phi_ref >= phi(x)`` still holds, and goes on in float64 to ``eps``
+with its seed and its ``(s, y)`` pair. ``max_iters`` caps both stages
+together, and a converged solve's final objective and residual come from
+float64 products. ``SolveResult.stages`` reports each stage's cost.
 """
 
 from __future__ import annotations
@@ -46,6 +57,10 @@ STATUS_ITER_LIMIT = "iter-limit"
 
 REF_GLL = "gll-max"
 REF_ADAPTIVE = "adaptive"
+
+# A float32 stage stops at max(eps, this floor): the step test is then still
+# well above what float32 products can resolve.
+FLOAT32_EPS_FLOOR = 1e-5
 
 
 class BacktrackLimitExceeded(RuntimeError):
@@ -218,10 +233,18 @@ class Trace:
 
 @dataclass
 class SolveResult:
-    """The final iterate and the run's trace; the status is the summary's."""
+    """The final iterate, the run's trace and its stages; the status is the summary's.
+
+    ``stages`` holds one ``{tau, iters, matvecs, precision}`` entry per
+    stage, in trace order: ``iters`` consecutive records at weight ``tau``
+    whose objectives come from ``precision`` ("float32" or "float64")
+    products, at a cost of ``matvecs``. A solve has one stage, or two when
+    it switches from float32 to float64; continuation lists each weight's.
+    """
 
     x: np.ndarray
     trace: Trace
+    stages: list[dict]
 
     @property
     def status(self) -> str:
@@ -356,10 +379,12 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
     """Run the solver on ``problem`` until a stopping test fires.
 
     ``problem`` must provide ``f_value(x)``, ``f_grad(x)``, a
-    ``regularizer``, a starting point ``x1`` and a ``matvec_total``
-    attribute; the latter feeds the per-iteration cost column, counted
-    from the start of this solve (the operator's earlier work excluded). The
-    run is single-threaded, owns all mutable state, and is deterministic:
+    ``regularizer``, a starting point ``x1``, a ``matvec_total``
+    attribute and ``float32_stage()``, which returns the problem to run
+    the float32 stage on, or ``None`` (see the module docstring). The
+    count feeds the per-iteration cost column, counted from the start of
+    this solve (the operator's earlier work excluded). The run is
+    single-threaded, owns all mutable state, and is deterministic:
     identical inputs produce identical traces (wall times aside).
     """
     cfg = cfg or SolverConfig()
@@ -370,10 +395,28 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
     t0 = time.perf_counter()
     matvecs0 = problem.matvec_total
 
-    obj = float(problem.f_value(x)) + reg.value(x)
+    stage = problem.float32_stage()
+    if stage is None:
+        stage, stage_eps = problem, cfg.eps
+    else:
+        stage_eps = max(cfg.eps, FLOAT32_EPS_FLOOR)
+    stages: list[dict] = []
+    stage_start = (0, matvecs0)  # records and matvecs before the current stage
+
+    def close_stage():
+        iters, matvecs = len(records), problem.matvec_total
+        stages.append({
+            "tau": reg.tau,
+            "iters": iters - stage_start[0],
+            "matvecs": matvecs - stage_start[1],
+            "precision": "float64" if stage is problem else "float32",
+        })
+        return iters, matvecs
+
+    obj = float(stage.f_value(x)) + reg.value(x)
     if not math.isfinite(obj):
         raise NonFiniteObjective("objective at the starting point is not finite")
-    g = problem.f_grad(x)
+    g = stage.f_grad(x)
 
     window = deque([obj], maxlen=cfg.memory_M)
     cycle_m = cfg.effective_cycle_m(reg.tau)
@@ -394,7 +437,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         phi_ref_prev = phi_ref
 
         z, obj_z, alpha, j, diff, step_sq = line_search_step(
-            x, g, phi_ref, stored_seed, problem.f_value, reg, cfg, prox_state
+            x, g, phi_ref, stored_seed, stage.f_value, reg, cfg, prox_state
         )
         if prox_state is not None:
             prox_state.note_backtracks(j)
@@ -414,15 +457,23 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
             )
         )
 
-        g_new = problem.f_grad(z)
+        g_new = stage.f_grad(z)
         s_prev = diff
         y_prev = g_new - g
         x, g, obj = z, g_new, obj_z
         window.append(obj)
-        if step_inf <= cfg.eps:
-            status = STATUS_CONVERGED
-            break
+        if step_inf <= stage_eps:
+            if stage is problem:
+                status = STATUS_CONVERGED
+                break
+            # the float32 stage is done: go on in float64 from x
+            stage_start = close_stage()
+            stage, stage_eps = problem, cfg.eps
+            obj = float(problem.f_value(x)) + reg.value(x)
+            g = problem.f_grad(x)
+            window[-1] = obj
 
+    close_stage()
     summary = SolveSummary(
         status=status,
         iters=len(records),
@@ -432,7 +483,7 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         final_residual=float(np.max(np.abs(y_prev - 2.0 * alpha * s_prev))),
         wall_time=time.perf_counter() - t0,
     )
-    return SolveResult(x=x, trace=Trace(records, summary))
+    return SolveResult(x=x, trace=Trace(records, summary), stages=stages)
 
 
 def acceptance_violation(trace: Trace, sigma: float) -> float:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 from dataclasses import asdict, fields
@@ -6,7 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from sparsa import cli
+from sparsa import cli, problems
 from sparsa.cli import main
 from sparsa.harness import (
     CurvePoint,
@@ -165,6 +166,21 @@ class TestBenchRatesCurve:
         assert exc.value.code == 2
         assert "eta" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bench_builds_each_repetition_once(self, tmp_path, monkeypatch):
+        calls = []
+        gen_bpdn = problems.GENERATORS["bpdn"]
+
+        @functools.wraps(gen_bpdn)
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return gen_bpdn(*args, **kwargs)
+
+        monkeypatch.setitem(problems.GENERATORS, "bpdn", counted)
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps({"generator": BPDN, "repetitions": 3}))
+        assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "bench")]) == 0
+        assert calls == [0, 1, 2]
 
     def test_bench_print_config(self, capsys):
         assert main(["bench", "--print-config"]) == 0

@@ -1,9 +1,10 @@
 """The benchmark's per-solve check runs against the package as it is.
 
 ``perfbench/run.py`` reads the config's ``sigma``, the result's ``status``
-and, under continuation, its ``stages``. These tests call its
-``run_solve`` on a small spike-recovery cell, plain and with continuation,
-and on a small deblur cell, so a refactor that breaks one of those names,
+and its ``stages``. These tests call its ``run_solve`` on a small
+spike-recovery cell, plain and with continuation, on two full-size ones,
+whose solves switch from float32 to float64, and on a small deblur cell,
+so a refactor that breaks one of those names,
 or the blur/Haar operator the deblur workload solves through, fails here
 rather than in a benchmark run. ``perfbench/make_reference.py`` passes the
 TV regularizer's inner settings and ``problem.replaced``; its
@@ -11,6 +12,7 @@ TV regularizer's inner settings and ``problem.replaced``; its
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,33 @@ def test_stage_traces_split_a_continuation_run(perfbench):
     traces = run.stage_traces(result)
     assert len(traces) == len(result.stages) > 1
     assert sum(len(t.records) for t in traces) == len(result.trace.records)
+    assert traces[-1].summary is result.trace.summary
+
+
+@pytest.mark.parametrize("label", ["gll@0.001", "gll-cont@0.0001"])
+def test_full_size_bpdn_cell_passes_its_checks(perfbench, label):
+    # at 256x1024 every solve runs a float32 stage before its float64 one
+    run, workloads = perfbench
+    sweep = workloads.WORKLOADS["bpdn-sweep"]
+    cell = next(c for c in sweep.cells if c.label == label)
+    references = json.loads((run.REFERENCE_DIR / "bpdn-sweep.json").read_text())
+    reference = references["0"][f"{cell.tau:g}"]
+    out = run.run_solve(0, cell, sweep.generate(0, cell), reference, sweep.gap_tol)
+    assert out.errors == []
+    assert out.matvecs > 0 and out.iters > 0
+
+    problem = sweep.generate(0, cell)
+    if cell.continuation:
+        schedule = continuation.ContinuationSchedule(tau_target=cell.tau)
+        result = continuation.solve_with_continuation(problem, schedule, cell.cfg)
+    else:
+        result = solver.solve(problem, cell.cfg)
+    traces = run.stage_traces(result)
+    precisions = [s["precision"] for s in result.stages]
+    assert precisions[-2:] == ["float32", "float64"]
+    assert len(traces) == len(result.stages)
+    assert [len(t.records) for t in traces] == [s["iters"] for s in result.stages]
+    assert [t.summary for t in traces[:-1]] == [None] * (len(traces) - 1)
     assert traces[-1].summary is result.trace.summary
 
 

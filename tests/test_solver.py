@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from sparsa import regularizers
 from sparsa.continuation import ContinuationSchedule, solve_with_continuation
 from sparsa.problems import (
+    FLOAT32_MIN_ENTRIES,
     LeastSquaresProblem,
     OracleProblem,
     gen_bpdn,
@@ -18,6 +20,7 @@ from sparsa.problems import (
 from sparsa.problems import test_pattern as make_test_pattern
 from sparsa.regularizers import GroupL2Regularizer, L1Regularizer
 from sparsa.solver import (
+    FLOAT32_EPS_FLOOR,
     BacktrackLimitExceeded,
     NonFiniteObjective,
     SolverConfig,
@@ -547,12 +550,104 @@ class TestCertifiedResidual:
         ids=["bpdn-tau1e-2", "bpdn-tau1e-3", "deblur-64"],
     )
     def test_equals_closed_form(self, make, cfg):
-        # the stop values alpha ||dx||_inf are 9.73e-6, 8.57e-6 and 8.61e-5,
-        # against residuals of 7.76e-5, 1.61e-5 and 1.71e-4
+        # the stop values alpha ||dx||_inf are 8.90e-6, 9.15e-6 and 8.61e-5,
+        # against residuals of 7.50e-5, 1.94e-5 and 1.71e-4 (the bpdn solves
+        # end in a float64 stage)
         prob = make()
         res = solve(prob, cfg)
         closed_form = stationarity_residual(prob.regularizer, res.x, prob.f_grad(res.x))
         assert res.trace.summary.final_residual == pytest.approx(closed_form, rel=1e-3)
+
+
+BPDN_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "bpdn-sweep.json"
+
+
+def stage_traces(res):
+    """The result's trace cut into its stages; the last one keeps the summary."""
+    traces, start = [], 0
+    for i, stage in enumerate(res.stages):
+        summary = res.trace.summary if i == len(res.stages) - 1 else None
+        traces.append(Trace(res.trace.records[start : start + stage["iters"]], summary))
+        start += stage["iters"]
+    assert start == len(res.trace.records)
+    return traces
+
+
+class TestPrecisionStages:
+    """A large dense problem runs in float32 first and finishes in float64."""
+
+    @pytest.mark.parametrize("tau", [1e-3, 1e-4])
+    def test_full_size_bpdn_switches_to_float64(self, tau):
+        prob = gen_bpdn(k=256, n=1024, spikes=160, seed=0, tau=tau)
+        before = prob.matvec_total
+        res = solve(prob, GLL_EPS_1E5)
+        summary = res.trace.summary
+        assert res.status == "converged"
+        assert [s["precision"] for s in res.stages] == ["float32", "float64"]
+        assert all(s["tau"] == tau and s["iters"] > 0 for s in res.stages)
+        assert sum(s["matvecs"] for s in res.stages) == summary.matvecs
+        assert summary.matvecs == prob.matvec_total - before
+        # float32 products count too: an objective and a gradient (3 matvecs)
+        # at the start and at the switch, one forward per line-search trial
+        # and one gradient per iteration
+        trials = summary.iters + sum(r.backtracks for r in res.trace.records)
+        assert summary.matvecs == 2 * 3 + trials + 2 * summary.iters
+        for trace in stage_traces(res):
+            assert acceptance_violation(trace, GLL_EPS_1E5.sigma) <= 1e-12
+        # the float32 stage stopped at the floor, the float64 one at eps
+        first = res.trace.records[res.stages[0]["iters"] - 1]
+        assert first.step_inf <= FLOAT32_EPS_FLOOR
+        assert res.trace.records[-1].step_inf <= GLL_EPS_1E5.eps
+        recomputed = prob.f_value(res.x) + prob.regularizer.value(res.x)
+        assert summary.final_obj == pytest.approx(recomputed, rel=1e-12)
+        reference = json.loads(BPDN_REFERENCE.read_text())["0"][f"{tau:g}"]
+        gap = (summary.final_obj - reference) / max(1.0, abs(reference))
+        assert -1e-6 <= gap <= 1e-3
+
+    @pytest.mark.parametrize("k, n", [(64, 256), (128, 511)])
+    def test_small_dense_problem_runs_in_float64(self, k, n):
+        assert k * n < FLOAT32_MIN_ENTRIES
+        prob = gen_bpdn(k=k, n=n, spikes=16, seed=0, tau=1e-3)
+        assert prob.float32_stage() is None
+        res = solve(prob, GLL_EPS_1E5)
+        assert res.stages == [{
+            "tau": 1e-3,
+            "iters": len(res.trace.records),
+            "matvecs": res.trace.summary.matvecs,
+            "precision": "float64",
+        }]
+
+    def test_threshold_is_inclusive(self):
+        prob = gen_bpdn(k=128, n=512, spikes=16, seed=0)
+        assert prob.op.matrix.size == FLOAT32_MIN_ENTRIES
+        assert prob.float32_stage() is not None
+        assert [s["precision"] for s in solve(prob, GLL_EPS_1E5).stages] == ["float32", "float64"]
+
+    def test_same_shape_solve_reuses_the_float32_copy(self):
+        cfg = GLL_EPS_1E5
+        first = gen_bpdn(k=256, n=1024, spikes=160, seed=1, tau=0.1)
+        second = gen_bpdn(k=256, n=1024, spikes=160, seed=2, tau=0.1)
+        solve(first, cfg)
+        tracemalloc.start()
+        try:
+            res = solve(second, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.stages) == 2
+        assert peak < 0.1 * second.op.matrix.nbytes
+        # each float32 stage refills the one copy from its own matrix
+        for prob in (first, second):
+            matrix = prob.float32_stage().op.matrix
+            assert np.array_equal(matrix, prob.op.matrix.astype(np.float32))
+
+    def test_iteration_cap_inside_the_float32_stage(self):
+        prob = gen_bpdn(k=256, n=1024, spikes=160, seed=0, tau=1e-3)
+        res = solve(prob, GLL_EPS_1E5.replaced(max_iters=50))
+        assert res.status == "iter-limit"
+        assert res.stages == [{
+            "tau": 1e-3, "iters": 50, "matvecs": res.trace.summary.matvecs, "precision": "float32",
+        }]
 
 
 class TestTraceSerialization:
