@@ -5,8 +5,9 @@ point, solves the resulting prox subproblem, and accepts steps through a
 nonmonotone line search seeded by safeguarded (cyclic) spectral
 stepsizes. Includes linear operators with adjoint and cost accounting,
 closed-form and total-variation regularizers, reproducible problem
-generators, a continuation wrapper for small regularization weights, and
-a benchmark harness that fits sublinear / R-linear convergence rates.
+generators, continuation over a decreasing schedule of regularization
+weights (run in the solver's own loop), and a benchmark harness that
+fits sublinear / R-linear convergence rates.
 """
 
 from .continuation import ContinuationSchedule, solve_with_continuation

@@ -3,16 +3,17 @@
 Small-tau problems are ill conditioned for first-order methods; solving a
 geometric sequence of weights from near ||A^T b||_inf down to the target,
 warm-starting each stage from the last, usually costs far fewer total
-matvecs than attacking the target weight directly.
+matvecs than attacking the target weight directly. This module holds the
+schedule; :func:`sparsa.solver.solve` runs its weights in its one loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import SolveResult, SolverConfig, Trace, TraceRecord, check_real, solve
+from .solver import SolveResult, SolverConfig, check_real, solve
 
 # The first stage's weight as a fraction of ||A^T b||_inf, above which the
 # l1 solution is identically zero.
@@ -51,59 +52,24 @@ class ContinuationSchedule:
         taus.append(self.tau_target)
         return taus
 
+    def weights(self, scale: float, eps: float) -> list[tuple[float, float]]:
+        """Each stage's ``(tau, tolerance)``: ``INNER_EPS``, then ``eps`` for the last."""
+        taus = self.stages(scale)
+        return [(tau, INNER_EPS) for tau in taus[:-1]] + [(taus[-1], eps)]
+
 
 def solve_with_continuation(
     problem,
     schedule: ContinuationSchedule,
     cfg: SolverConfig | None = None,
 ) -> SolveResult:
-    """Warm-started solves over the schedule's weights.
+    """Warm-started solves over the schedule's weights, in one ``solve`` call.
 
-    The combined trace renumbers iterations across stages and offsets each
-    stage's ``matvecs`` and ``wall_time`` columns by what the earlier
-    stages spent, so both only go up. Matvecs count from the start of this
-    call, including the one gradient evaluation used to size the initial
-    weight; wall time is the sum of the stage solves. Every stage's cost
-    comes from its own solve summary, and ``stages`` concatenates the
-    solves' own, so a weight whose solve switched from float32 to float64
-    has two entries.
+    The trace numbers iterations across stages, and its ``matvecs`` and
+    ``wall_time`` columns run on the one solve's counter and clock, from
+    the start of this call: both include the one gradient evaluation that
+    sizes the initial weight, and both only go up. ``stages`` lists each
+    weight's precision stages in order, so a weight that switched from
+    float32 to float64 has two entries.
     """
-    cfg = cfg or SolverConfig()
-    x_warm = np.asarray(problem.x1, dtype=float)
-    before = problem.matvec_total
-    scale = float(np.max(np.abs(problem.f_grad(np.zeros_like(x_warm)))))
-    matvecs = problem.matvec_total - before
-    taus = schedule.stages(scale)
-
-    records: list[TraceRecord] = []
-    stages: list[dict] = []
-    wall_time = 0.0
-    for i, tau_i in enumerate(taus):
-        stage_problem = problem.replaced(
-            regularizer=problem.regularizer.with_tau(tau_i),
-            x1=x_warm,
-        )
-        stage_cfg = cfg.replaced(eps=cfg.eps if i == len(taus) - 1 else INNER_EPS)
-        try:
-            result = solve(stage_problem, stage_cfg)
-        except Exception as exc:
-            cause = f"{type(exc).__name__}: {exc}"
-            raise RuntimeError(f"continuation stage {i} (tau={tau_i:g}) failed: {cause}") from exc
-        spent = result.trace.summary
-        offset = len(records)
-        for rec in result.trace.records:
-            records.append(
-                replace(
-                    rec,
-                    k=rec.k + offset,
-                    matvecs=rec.matvecs + matvecs,
-                    wall_time=rec.wall_time + wall_time,
-                )
-            )
-        stages += result.stages
-        matvecs += spent.matvecs
-        wall_time += spent.wall_time
-        x_warm = result.x
-
-    summary = replace(spent, iters=len(records), matvecs=matvecs, wall_time=wall_time)
-    return SolveResult(x=result.x, trace=Trace(records, summary), stages=stages)
+    return solve(problem, cfg, schedule)

@@ -128,9 +128,9 @@ class Float32DenseOperator(LinearOperator):
     Inputs are rounded to float32 and results widened to float64. The
     float32 matrix is the module's one slot, refilled from ``dense.matrix``
     when this operator is made, so it is valid until the next one is made:
-    a solve makes one for its float32 stage and drops it at the switch to
-    float64. The slot is not allocated per operator, so building a problem
-    does not copy its matrix; like the work images it is safe because the
+    a solve makes one and runs the float32 stage of each of its weights on
+    it. The slot is not allocated per operator, so building a problem does
+    not copy its matrix; like the work images it is safe because the
     package is single-threaded. ``forward_count`` and ``adjoint_count`` are
     ``dense``'s, so its counters take every float32 product.
     """

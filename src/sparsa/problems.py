@@ -95,7 +95,8 @@ class LeastSquaresProblem:
         Only a dense operator with at least ``FLOAT32_MIN_ENTRIES`` entries
         has one. Its products count on this problem's operator, and it is
         valid until the next float32 stage is made (see
-        :class:`Float32DenseOperator`).
+        :class:`Float32DenseOperator`): a solve makes one and runs every
+        weight's float32 stage on it.
         """
         if isinstance(self.op, DenseOperator) and self.op.matrix.size >= FLOAT32_MIN_ENTRIES:
             return self.replaced(op=Float32DenseOperator(self.op))

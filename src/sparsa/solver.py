@@ -34,6 +34,13 @@ so ``phi_ref >= phi(x)`` still holds, and goes on in float64 to ``eps``
 with its seed and its ``(s, y)`` pair. ``max_iters`` caps both stages
 together, and a converged solve's final objective and residual come from
 float64 products. ``SolveResult.stages`` reports each stage's cost.
+
+Under continuation (a ``schedule``, see :mod:`sparsa.continuation`) one
+gradient at zero sizes a decreasing sequence of weights, and the loop runs
+once per weight from the last one's iterate: its own regularizer and
+tolerance, a fresh window, seed, ``(s, y)`` pair and prox state, and its
+own precision stages on the solve's one float32 view. ``max_iters`` caps
+each weight; the records and the summary count across all of them.
 """
 
 from __future__ import annotations
@@ -375,7 +382,7 @@ def line_search_step(
     )
 
 
-def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
+def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResult:
     """Run the solver on ``problem`` until a stopping test fires.
 
     ``problem`` must provide ``f_value(x)``, ``f_grad(x)``, a
@@ -386,22 +393,25 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
     this solve (the operator's earlier work excluded). The run is
     single-threaded, owns all mutable state, and is deterministic:
     identical inputs produce identical traces (wall times aside).
+
+    With a ``schedule`` (a ``ContinuationSchedule``), an exception raised
+    while weight ``i`` runs is re-raised as a ``RuntimeError`` naming it.
     """
     cfg = cfg or SolverConfig()
-    reg = problem.regularizer
     x = np.array(problem.x1, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
     t0 = time.perf_counter()
     matvecs0 = problem.matvec_total
-
-    stage = problem.float32_stage()
-    if stage is None:
-        stage, stage_eps = problem, cfg.eps
+    if schedule is None:
+        weights = [(problem.regularizer, cfg.eps)]
     else:
-        stage_eps = max(cfg.eps, FLOAT32_EPS_FLOOR)
+        scale = float(np.max(np.abs(problem.f_grad(np.zeros_like(x)))))
+        weights = [(problem.regularizer.with_tau(tau), eps)
+                   for tau, eps in schedule.weights(scale, cfg.eps)]
+    view = problem.float32_stage()
+    records: list[TraceRecord] = []
     stages: list[dict] = []
-    stage_start = (0, matvecs0)  # records and matvecs before the current stage
 
     def close_stage():
         iters, matvecs = len(records), problem.matvec_total
@@ -413,67 +423,78 @@ def solve(problem, cfg: SolverConfig | None = None) -> SolveResult:
         })
         return iters, matvecs
 
-    obj = float(stage.f_value(x)) + reg.value(x)
-    if not math.isfinite(obj):
-        raise NonFiniteObjective("objective at the starting point is not finite")
-    g = stage.f_grad(x)
-
-    window = deque([obj], maxlen=cfg.memory_M)
-    cycle_m = cfg.effective_cycle_m(reg.tau)
-    stored_seed: float | None = None  # cyclic_seed sets it at k = 1
-    phi_ref_prev: float | None = None
-    s_prev = y_prev = None
-    prox_state = reg.make_prox_state()
-    records: list[TraceRecord] = []
-    status = STATUS_ITER_LIMIT
-
-    for k in range(1, cfg.max_iters + 1):
-        stored_seed = cyclic_seed(k, cfg, stored_seed, s_prev, y_prev, cycle_m)
-        phi_max = gll_reference(window)
-        if cfg.ref_policy == REF_GLL:
-            phi_ref = phi_max
+    for i, (reg, eps) in enumerate(weights):
+        stage_start = (len(records), problem.matvec_total)  # records and matvecs before the stage
+        if view is None:
+            stage, stage_eps = problem, eps
         else:
-            phi_ref = adaptive_reference(k, window, phi_ref_prev, phi_max, cfg)
-        phi_ref_prev = phi_ref
+            stage, stage_eps = view, max(eps, FLOAT32_EPS_FLOOR)
+        try:
+            obj = float(stage.f_value(x)) + reg.value(x)
+            if not math.isfinite(obj):
+                raise NonFiniteObjective("objective at the starting point is not finite")
+            g = stage.f_grad(x)
 
-        z, obj_z, alpha, j, diff, step_sq = line_search_step(
-            x, g, phi_ref, stored_seed, stage.f_value, reg, cfg, prox_state
-        )
-        if prox_state is not None:
-            prox_state.note_backtracks(j)
-        step_inf = alpha * float(np.abs(diff).max())
-        records.append(
-            TraceRecord(
-                k=k,
-                obj=obj,
-                phi_ref=phi_ref,
-                alpha_seed=stored_seed,
-                alpha_accepted=alpha,
-                backtracks=j,
-                step_norm=math.sqrt(step_sq),
-                step_inf=step_inf,
-                matvecs=problem.matvec_total - matvecs0,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
+            window = deque([obj], maxlen=cfg.memory_M)
+            cycle_m = cfg.effective_cycle_m(reg.tau)
+            stored_seed: float | None = None  # cyclic_seed sets it at k = 1
+            phi_ref_prev: float | None = None
+            s_prev = y_prev = None
+            prox_state = reg.make_prox_state()
+            status = STATUS_ITER_LIMIT
 
-        g_new = stage.f_grad(z)
-        s_prev = diff
-        y_prev = g_new - g
-        x, g, obj = z, g_new, obj_z
-        window.append(obj)
-        if step_inf <= stage_eps:
-            if stage is problem:
-                status = STATUS_CONVERGED
-                break
-            # the float32 stage is done: go on in float64 from x
-            stage_start = close_stage()
-            stage, stage_eps = problem, cfg.eps
-            obj = float(problem.f_value(x)) + reg.value(x)
-            g = problem.f_grad(x)
-            window[-1] = obj
+            for k in range(1, cfg.max_iters + 1):
+                stored_seed = cyclic_seed(k, cfg, stored_seed, s_prev, y_prev, cycle_m)
+                phi_max = gll_reference(window)
+                if cfg.ref_policy == REF_GLL:
+                    phi_ref = phi_max
+                else:
+                    phi_ref = adaptive_reference(k, window, phi_ref_prev, phi_max, cfg)
+                phi_ref_prev = phi_ref
 
-    close_stage()
+                z, obj_z, alpha, j, diff, step_sq = line_search_step(
+                    x, g, phi_ref, stored_seed, stage.f_value, reg, cfg, prox_state
+                )
+                if prox_state is not None:
+                    prox_state.note_backtracks(j)
+                step_inf = alpha * float(np.abs(diff).max())
+                records.append(
+                    TraceRecord(
+                        k=len(records) + 1,
+                        obj=obj,
+                        phi_ref=phi_ref,
+                        alpha_seed=stored_seed,
+                        alpha_accepted=alpha,
+                        backtracks=j,
+                        step_norm=math.sqrt(step_sq),
+                        step_inf=step_inf,
+                        matvecs=problem.matvec_total - matvecs0,
+                        wall_time=time.perf_counter() - t0,
+                    )
+                )
+
+                g_new = stage.f_grad(z)
+                s_prev = diff
+                y_prev = g_new - g
+                x, g, obj = z, g_new, obj_z
+                window.append(obj)
+                if step_inf <= stage_eps:
+                    if stage is problem:
+                        status = STATUS_CONVERGED
+                        break
+                    # the float32 stage is done: go on in float64 from x
+                    stage_start = close_stage()
+                    stage, stage_eps = problem, eps
+                    obj = float(problem.f_value(x)) + reg.value(x)
+                    g = problem.f_grad(x)
+                    window[-1] = obj
+        except Exception as exc:
+            if schedule is None:
+                raise
+            cause = f"{type(exc).__name__}: {exc}"
+            raise RuntimeError(f"continuation stage {i} (tau={reg.tau:g}) failed: {cause}") from exc
+        close_stage()
+
     summary = SolveSummary(
         status=status,
         iters=len(records),

@@ -1,13 +1,48 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
-from sparsa import continuation
-from sparsa.continuation import ContinuationSchedule, solve_with_continuation
+from sparsa import solver
+from sparsa.continuation import INNER_EPS, ContinuationSchedule, solve_with_continuation
 from sparsa.harness import ExperimentSpec, Variant, run_experiment
 from sparsa.problems import GeneratorSpec, OracleProblem, gen_bpdn
 from sparsa.regularizers import L1Regularizer, soft_threshold
-from sparsa.solver import BacktrackLimitExceeded, SolverConfig, solve
+from sparsa.solver import BacktrackLimitExceeded, SolverConfig, line_search_step, solve
 from conftest import stationarity_residual
+
+
+def stitched_continuation(problem, schedule, cfg):
+    """Continuation written as one warm-started ``solve`` per weight.
+
+    Each weight's records are renumbered and their ``matvecs`` offset by
+    what the sizing gradient and the earlier weights spent; the summary is
+    the last weight's, with the run's iterations and matvecs. Returns
+    ``(x, records, stages, summary)``; wall times are not stitched.
+    """
+    before = problem.matvec_total
+    scale = float(np.max(np.abs(problem.f_grad(np.zeros_like(problem.x1)))))
+    taus = schedule.stages(scale)
+    x, records, stages = problem.x1, [], []
+    for i, tau in enumerate(taus):
+        spent, offset = problem.matvec_total - before, len(records)
+        result = solve(
+            problem.replaced(regularizer=problem.regularizer.with_tau(tau), x1=x),
+            cfg.replaced(eps=cfg.eps if i == len(taus) - 1 else INNER_EPS),
+        )
+        records += [replace(r, k=r.k + offset, matvecs=r.matvecs + spent) for r in result.trace.records]
+        stages += result.stages
+        x = result.x
+    summary = replace(
+        result.trace.summary, iters=len(records), matvecs=problem.matvec_total - before
+    )
+    return x, records, stages, summary
+
+
+def without_wall_time(record) -> dict:
+    fields = asdict(record)
+    del fields["wall_time"]
+    return fields
 
 
 class TestSchedule:
@@ -17,6 +52,8 @@ class TestSchedule:
         assert taus[-1] == 1e-4
         assert all(a > b for a, b in zip(taus, taus[1:]))
         assert taus[0] == pytest.approx(0.9)
+        # every weight but the last stops at INNER_EPS, the last at the caller's eps
+        assert sched.weights(1.0, 1e-6) == [(t, INNER_EPS) for t in taus[:-1]] + [(1e-4, 1e-6)]
 
     def test_degenerate_when_target_above_scale(self):
         sched = ContinuationSchedule(tau_target=2.0)
@@ -92,43 +129,38 @@ class TestSolveWithContinuation:
         # stage increments plus the initial weight-sizing gradient cover the total
         assert sum(s["matvecs"] for s in res.stages) + 2 == prob.matvec_total
 
-    def test_stage_costs_are_the_stage_summaries(self, monkeypatch):
-        prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-4)
-        summaries = []
-
-        def recording_solve(problem, cfg):
-            result = solve(problem, cfg)
-            summaries.append(result.trace.summary)
-            return result
-
-        monkeypatch.setattr(continuation, "solve", recording_solve)
-        res = solve_with_continuation(
-            prob, ContinuationSchedule(tau_target=1e-4), SolverConfig(eps=1e-6)
-        )
-        assert len(res.stages) == len(summaries) > 1
-        for stage, own in zip(res.stages, summaries):
-            assert (stage["iters"], stage["matvecs"]) == (own.iters, own.matvecs)
-        sizing = 2  # one gradient at zero: a forward and an adjoint
-        merged = res.trace.summary
-        assert merged.matvecs == sizing + sum(s.matvecs for s in summaries) == prob.matvec_total
-        assert merged.iters == sum(s.iters for s in summaries)
-        assert merged.wall_time == sum(s.wall_time for s in summaries)
-        last = summaries[-1]
-        assert (merged.status, merged.final_obj, merged.final_residual) == (
-            last.status, last.final_obj, last.final_residual
-        )
-        assert merged is not last
+    @pytest.mark.parametrize(
+        "make, precisions",
+        [
+            (lambda: gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-4), ["float64"]),
+            (lambda: gen_bpdn(k=256, n=1024, spikes=40, seed=0, tau=1e-4), ["float32", "float64"]),
+        ],
+        ids=["bpdn-32x128", "bpdn-256x1024"],
+    )
+    def test_one_loop_matches_warm_started_solves(self, make, precisions):
+        schedule, cfg = ContinuationSchedule(tau_target=1e-4), SolverConfig(eps=1e-6)
+        res = solve_with_continuation(make(), schedule, cfg)
+        x, records, stages, summary = stitched_continuation(make(), schedule, cfg)
+        assert np.array_equal(res.x, x)
+        assert res.stages == stages
+        assert [s["precision"] for s in stages] == precisions * (len(stages) // len(precisions))
+        assert len({s["tau"] for s in stages}) > 1
+        assert len(res.trace.records) == len(records)
+        for got, want in zip(res.trace.records, records):
+            assert without_wall_time(got) == without_wall_time(want)
+        assert without_wall_time(res.trace.summary) == without_wall_time(summary)
 
     def test_failed_stage_keeps_its_cause(self, monkeypatch, tmp_path):
-        taus = []
+        taus = []  # the weights line_search_step has seen, in order
 
-        def failing_solve(problem, cfg):
-            taus.append(problem.regularizer.tau)
+        def failing_step(x, g, phi_ref, alpha_seed, f_value, reg, *rest):
+            if reg.tau not in taus:
+                taus.append(reg.tau)
             if len(taus) == 2:
                 raise BacktrackLimitExceeded("line search gave up")
-            return solve(problem, cfg)
+            return line_search_step(x, g, phi_ref, alpha_seed, f_value, reg, *rest)
 
-        monkeypatch.setattr(continuation, "solve", failing_solve)
+        monkeypatch.setattr(solver, "line_search_step", failing_step)
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-4)
         with pytest.raises(RuntimeError) as exc:
             solve_with_continuation(prob, ContinuationSchedule(tau_target=1e-4))
@@ -146,6 +178,19 @@ class TestSolveWithContinuation:
         )
         _, manifest = run_experiment(spec, tmp_path)
         assert manifest["cells"][0]["error"] == f"RuntimeError: {message}"
+
+    def test_iteration_cap_applies_to_each_weight(self):
+        prob = gen_bpdn(k=256, n=1024, spikes=40, seed=1, tau=1e-4)
+        res = solve_with_continuation(
+            prob, ContinuationSchedule(tau_target=1e-4), SolverConfig(max_iters=4)
+        )
+        assert res.status == "iter-limit"
+        # 3 matvecs at the start of a weight, then per iteration one trial
+        # (no backtracks) and one gradient; the sizing gradient adds 2
+        assert [(s["iters"], s["matvecs"], s["precision"]) for s in res.stages] == [
+            (4, 15, "float32")
+        ] * 7
+        assert res.trace.summary.matvecs == 7 * 15 + 2 == 107
 
     def test_merged_columns_never_decrease(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-3)

@@ -113,8 +113,9 @@ def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
         op.forward_count + op.adjoint_count - before
     ) > 0
     assert m["solver.iterations"] == len(result.trace.records) > 0
-    if make is bpdn_continuation:  # one float64 stage per weight at this size
-        assert m["continuation.stages"] == len(result.stages) > 1
+    if make is bpdn_continuation:  # the weights, sizing gradient included, run in one solve span
+        assert m["continuation.stages"] == 1 < len(result.stages)
+        assert m["continuation.outside_matvecs"] == 0
     # the tracer counts tv_divergence calls: one per dual step plus one per call
     assert m["regularizers.tv_inner_iters"] == sum(inner_steps)
     assert (sum(inner_steps) > 0) == (make is tv_phantom)
