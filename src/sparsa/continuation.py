@@ -9,9 +9,8 @@ schedule; :func:`sparsa.solver.solve` runs its weights in its one loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .solver import SolveResult, SolverConfig, check_real, solve
 
@@ -39,23 +38,18 @@ class ContinuationSchedule:
     def __post_init__(self):
         check_real("tau_target", self.tau_target, positive=True)
 
-    def stages(self, scale: float) -> list[float]:
-        """Strictly decreasing weights from the scale down to the target."""
-        tau0 = TAU_INIT_FRACTION * scale
-        if not np.isfinite(tau0) or tau0 <= self.tau_target:
-            return [self.tau_target]
-        taus = []
-        t = tau0
-        while t > self.tau_target:
-            taus.append(t)
-            t *= DECREASE_FACTOR
-        taus.append(self.tau_target)
-        return taus
-
     def weights(self, scale: float, eps: float) -> list[tuple[float, float]]:
-        """Each stage's ``(tau, tolerance)``: ``INNER_EPS``, then ``eps`` for the last."""
-        taus = self.stages(scale)
-        return [(tau, INNER_EPS) for tau in taus[:-1]] + [(taus[-1], eps)]
+        """Each stage's ``(tau, tolerance)``, from the scale down to the target.
+
+        The weights decrease strictly; every stage stops at ``INNER_EPS``
+        but the last, which stops at ``eps``.
+        """
+        weights = []
+        tau = TAU_INIT_FRACTION * scale
+        while math.isfinite(tau) and tau > self.tau_target:
+            weights.append((tau, INNER_EPS))
+            tau *= DECREASE_FACTOR
+        return weights + [(self.tau_target, eps)]
 
 
 def solve_with_continuation(

@@ -127,9 +127,6 @@ class OracleProblem:
         """An oracle runs in float64 only."""
         return None
 
-    def replaced(self, **kwargs) -> "OracleProblem":
-        return replace(self, **kwargs)
-
 
 # -- generators ---------------------------------------------------------------
 

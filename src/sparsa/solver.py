@@ -24,23 +24,24 @@ d psi(x_next)``; its max norm is the residual, which the stop value
 ``alpha ||x_next - x||_inf`` only about halves. For tv-iso it holds up to
 the inner TV solve's error.
 
-A problem whose ``float32_stage()`` returns a float32 view of itself (a
-large dense least-squares problem) runs in two precision stages within
-the one loop. Stage 1 evaluates f and its gradient through the view and
-stops when the step test passes at ``max(eps, FLOAT32_EPS_FLOOR)``. The
-loop then recomputes f and the gradient at x in float64 (three counted
-matvecs), puts the float64 objective in place of the window's last entry,
-so ``phi_ref >= phi(x)`` still holds, and goes on in float64 to ``eps``
-with its seed and its ``(s, y)`` pair. ``max_iters`` caps both stages
-together, and a converged solve's final objective and residual come from
-float64 products. ``SolveResult.stages`` reports each stage's cost.
+Each weight runs a list of precision stages in one loop: the problem to
+``eps`` or, when ``float32_stage()`` returns a float32 view of it (a large
+dense least-squares problem), the view to ``max(eps, FLOAT32_EPS_FLOOR)``
+and then the problem to ``eps``. A stage starts by evaluating f and its
+gradient at x through its own products; the first opens the window with
+phi(x), a later one puts its float64 phi(x) in place of the window's last
+entry, so ``phi_ref >= phi(x)`` still holds. The seed, ``(s, y)`` pair,
+prox state and iteration count (capped by ``max_iters``) carry across the
+stages. A stage that stops short of its test ends the weight, so a
+converged solve's final objective and residual come from float64
+products. ``SolveResult.stages`` reports each stage's cost.
 
 Under continuation (a ``schedule``, see :mod:`sparsa.continuation`) one
-gradient at zero sizes a decreasing sequence of weights, and the loop runs
-once per weight from the last one's iterate: its own regularizer and
+gradient at zero sizes a decreasing sequence of weights, and the stage loop
+runs once per weight from the last one's iterate: its own regularizer and
 tolerance, a fresh window, seed, ``(s, y)`` pair and prox state, and its
-own precision stages on the solve's one float32 view. ``max_iters`` caps
-each weight; the records and the summary count across all of them.
+own precision stages on the solve's one float32 view. The records and the
+summary count across all weights.
 """
 
 from __future__ import annotations
@@ -387,15 +388,17 @@ def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResul
 
     ``problem`` must provide ``f_value(x)``, ``f_grad(x)``, a
     ``regularizer``, a starting point ``x1``, a ``matvec_total``
-    attribute and ``float32_stage()``, which returns the problem to run
-    the float32 stage on, or ``None`` (see the module docstring). The
-    count feeds the per-iteration cost column, counted from the start of
-    this solve (the operator's earlier work excluded). The run is
+    attribute and ``float32_stage()``, which returns the problem each
+    weight's float32 stage runs on, or ``None`` (see the module docstring).
+    The count feeds the per-iteration cost column, counted from the start
+    of this solve (the operator's earlier work excluded). The run is
     single-threaded, owns all mutable state, and is deterministic:
     identical inputs produce identical traces (wall times aside).
 
-    With a ``schedule`` (a ``ContinuationSchedule``), an exception raised
-    while weight ``i`` runs is re-raised as a ``RuntimeError`` naming it.
+    A ``schedule`` (a ``ContinuationSchedule``) must end at the problem's
+    own weight, else ``ValueError`` is raised before any product; an
+    exception raised while its weight ``i`` runs is re-raised as a
+    ``RuntimeError`` naming it.
     """
     cfg = cfg or SolverConfig()
     x = np.array(problem.x1, dtype=float)
@@ -406,6 +409,9 @@ def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResul
     if schedule is None:
         weights = [(problem.regularizer, cfg.eps)]
     else:
+        if schedule.tau_target != problem.regularizer.tau:
+            raise ValueError(f"schedule.tau_target {schedule.tau_target:g} is not the "
+                             f"problem's regularizer tau {problem.regularizer.tau:g}")
         scale = float(np.max(np.abs(problem.f_grad(np.zeros_like(x)))))
         weights = [(problem.regularizer.with_tau(tau), eps)
                    for tau, eps in schedule.weights(scale, cfg.eps)]
@@ -413,87 +419,80 @@ def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResul
     records: list[TraceRecord] = []
     stages: list[dict] = []
 
-    def close_stage():
-        iters, matvecs = len(records), problem.matvec_total
-        stages.append({
-            "tau": reg.tau,
-            "iters": iters - stage_start[0],
-            "matvecs": matvecs - stage_start[1],
-            "precision": "float64" if stage is problem else "float32",
-        })
-        return iters, matvecs
-
     for i, (reg, eps) in enumerate(weights):
-        stage_start = (len(records), problem.matvec_total)  # records and matvecs before the stage
         if view is None:
-            stage, stage_eps = problem, eps
+            precision_stages = [(problem, eps)]
         else:
-            stage, stage_eps = view, max(eps, FLOAT32_EPS_FLOOR)
+            precision_stages = [(view, max(eps, FLOAT32_EPS_FLOOR)), (problem, eps)]
         try:
-            obj = float(stage.f_value(x)) + reg.value(x)
-            if not math.isfinite(obj):
-                raise NonFiniteObjective("objective at the starting point is not finite")
-            g = stage.f_grad(x)
-
-            window = deque([obj], maxlen=cfg.memory_M)
+            # the window, seed, (s, y) pair, prox state and iteration count carry across them
+            window = deque([None], maxlen=cfg.memory_M)
             cycle_m = cfg.effective_cycle_m(reg.tau)
-            stored_seed: float | None = None  # cyclic_seed sets it at k = 1
-            phi_ref_prev: float | None = None
-            s_prev = y_prev = None
+            stored_seed = phi_ref_prev = s_prev = y_prev = None  # cyclic_seed sets the seed at k = 1
             prox_state = reg.make_prox_state()
-            status = STATUS_ITER_LIMIT
+            k = 0
+            for stage, stage_eps in precision_stages:
+                iters0, stage_matvecs0 = len(records), problem.matvec_total
+                obj = float(stage.f_value(x)) + reg.value(x)
+                if not math.isfinite(obj):
+                    raise NonFiniteObjective("objective at the starting point is not finite")
+                g = stage.f_grad(x)
+                # phi(x) opens the window or, after a precision switch, takes
+                # the place of its last entry, so phi_ref >= phi(x) still holds
+                window[-1] = obj
+                status = STATUS_ITER_LIMIT
+                while k < cfg.max_iters:
+                    k += 1
+                    stored_seed = cyclic_seed(k, cfg, stored_seed, s_prev, y_prev, cycle_m)
+                    phi_max = gll_reference(window)
+                    if cfg.ref_policy == REF_GLL:
+                        phi_ref = phi_max
+                    else:
+                        phi_ref = adaptive_reference(k, window, phi_ref_prev, phi_max, cfg)
+                    phi_ref_prev = phi_ref
 
-            for k in range(1, cfg.max_iters + 1):
-                stored_seed = cyclic_seed(k, cfg, stored_seed, s_prev, y_prev, cycle_m)
-                phi_max = gll_reference(window)
-                if cfg.ref_policy == REF_GLL:
-                    phi_ref = phi_max
-                else:
-                    phi_ref = adaptive_reference(k, window, phi_ref_prev, phi_max, cfg)
-                phi_ref_prev = phi_ref
-
-                z, obj_z, alpha, j, diff, step_sq = line_search_step(
-                    x, g, phi_ref, stored_seed, stage.f_value, reg, cfg, prox_state
-                )
-                if prox_state is not None:
-                    prox_state.note_backtracks(j)
-                step_inf = alpha * float(np.abs(diff).max())
-                records.append(
-                    TraceRecord(
-                        k=len(records) + 1,
-                        obj=obj,
-                        phi_ref=phi_ref,
-                        alpha_seed=stored_seed,
-                        alpha_accepted=alpha,
-                        backtracks=j,
-                        step_norm=math.sqrt(step_sq),
-                        step_inf=step_inf,
-                        matvecs=problem.matvec_total - matvecs0,
-                        wall_time=time.perf_counter() - t0,
+                    z, obj_z, alpha, j, diff, step_sq = line_search_step(
+                        x, g, phi_ref, stored_seed, stage.f_value, reg, cfg, prox_state
                     )
-                )
+                    if prox_state is not None:
+                        prox_state.note_backtracks(j)
+                    step_inf = alpha * float(np.abs(diff).max())
+                    records.append(
+                        TraceRecord(
+                            k=len(records) + 1,
+                            obj=obj,
+                            phi_ref=phi_ref,
+                            alpha_seed=stored_seed,
+                            alpha_accepted=alpha,
+                            backtracks=j,
+                            step_norm=math.sqrt(step_sq),
+                            step_inf=step_inf,
+                            matvecs=problem.matvec_total - matvecs0,
+                            wall_time=time.perf_counter() - t0,
+                        )
+                    )
 
-                g_new = stage.f_grad(z)
-                s_prev = diff
-                y_prev = g_new - g
-                x, g, obj = z, g_new, obj_z
-                window.append(obj)
-                if step_inf <= stage_eps:
-                    if stage is problem:
+                    g_new = stage.f_grad(z)
+                    s_prev = diff
+                    y_prev = g_new - g
+                    x, g, obj = z, g_new, obj_z
+                    window.append(obj)
+                    if step_inf <= stage_eps:
                         status = STATUS_CONVERGED
                         break
-                    # the float32 stage is done: go on in float64 from x
-                    stage_start = close_stage()
-                    stage, stage_eps = problem, eps
-                    obj = float(problem.f_value(x)) + reg.value(x)
-                    g = problem.f_grad(x)
-                    window[-1] = obj
+                stages.append({
+                    "tau": reg.tau,
+                    "iters": len(records) - iters0,
+                    "matvecs": problem.matvec_total - stage_matvecs0,
+                    "precision": "float64" if stage is problem else "float32",
+                })
+                if status != STATUS_CONVERGED:
+                    break  # a stage that did not pass its test ends the weight
         except Exception as exc:
             if schedule is None:
                 raise
             cause = f"{type(exc).__name__}: {exc}"
             raise RuntimeError(f"continuation stage {i} (tau={reg.tau:g}) failed: {cause}") from exc
-        close_stage()
 
     summary = SolveSummary(
         status=status,

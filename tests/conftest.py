@@ -7,6 +7,7 @@ import pytest
 
 from sparsa.linops import LinearOperator
 from sparsa.regularizers import GroupL2Regularizer, L1Regularizer
+from sparsa.solver import Trace
 
 
 class IdentityOperator(LinearOperator):
@@ -52,6 +53,17 @@ def stationarity_residual(reg, x, g) -> float:
             worst = max(worst, r)
         return worst
     raise ValueError(f"no closed-form stationarity residual for {type(reg).__name__}")
+
+
+def stage_traces(res):
+    """The result's trace cut into its stages; the last one keeps the summary."""
+    traces, start = [], 0
+    for i, stage in enumerate(res.stages):
+        summary = res.trace.summary if i == len(res.stages) - 1 else None
+        traces.append(Trace(res.trace.records[start : start + stage["iters"]], summary))
+        start += stage["iters"]
+    assert start == len(res.trace.records)
+    return traces
 
 
 def golden_min(f, lo, hi, tol=1e-14):

@@ -5,11 +5,17 @@ import pytest
 
 from sparsa import solver
 from sparsa.continuation import INNER_EPS, ContinuationSchedule, solve_with_continuation
-from sparsa.harness import ExperimentSpec, Variant, run_experiment
+from sparsa.harness import ExperimentSpec, Variant, run_experiment, run_one
 from sparsa.problems import GeneratorSpec, OracleProblem, gen_bpdn
 from sparsa.regularizers import L1Regularizer, soft_threshold
-from sparsa.solver import BacktrackLimitExceeded, SolverConfig, line_search_step, solve
-from conftest import stationarity_residual
+from sparsa.solver import (
+    BacktrackLimitExceeded,
+    SolverConfig,
+    acceptance_violation,
+    line_search_step,
+    solve,
+)
+from conftest import stage_traces, stationarity_residual
 
 
 def stitched_continuation(problem, schedule, cfg):
@@ -22,13 +28,12 @@ def stitched_continuation(problem, schedule, cfg):
     """
     before = problem.matvec_total
     scale = float(np.max(np.abs(problem.f_grad(np.zeros_like(problem.x1)))))
-    taus = schedule.stages(scale)
     x, records, stages = problem.x1, [], []
-    for i, tau in enumerate(taus):
+    for tau, eps in schedule.weights(scale, cfg.eps):
         spent, offset = problem.matvec_total - before, len(records)
         result = solve(
             problem.replaced(regularizer=problem.regularizer.with_tau(tau), x1=x),
-            cfg.replaced(eps=cfg.eps if i == len(taus) - 1 else INNER_EPS),
+            cfg.replaced(eps=eps),
         )
         records += [replace(r, k=r.k + offset, matvecs=r.matvecs + spent) for r in result.trace.records]
         stages += result.stages
@@ -45,19 +50,47 @@ def without_wall_time(record) -> dict:
     return fields
 
 
+FAMILIES = [
+    GeneratorSpec("bpdn", {"k": 16, "n": 64, "spikes": 4}),
+    GeneratorSpec("group", {"k": 8, "n": 16, "num_groups": 4, "active_groups": 1}),
+    GeneratorSpec("deblur", {"rows": 16, "cols": 16}),
+    GeneratorSpec("tv-phantom", {"rows": 8, "cols": 8}),
+    GeneratorSpec("bpdn", {"k": 256, "n": 1024, "tau": 1e-4}),  # float32, then float64
+]
+
+
+@pytest.mark.parametrize("continuation", [False, True], ids=["plain", "continuation"])
+@pytest.mark.parametrize(
+    "spec", FAMILIES, ids=["bpdn", "group", "deblur", "tv-phantom", "bpdn-256x1024"]
+)
+def test_every_family_accounts_for_every_stage(spec, continuation):
+    problem = spec.make()
+    before = problem.matvec_total
+    res = run_one(problem, SolverConfig(), continuation)
+    summary = res.trace.summary
+    assert res.status == "converged"
+    assert sum(s["iters"] for s in res.stages) == len(res.trace.records) == summary.iters
+    sizing = 2 if continuation else 0  # the gradient at zero that sizes the weights
+    assert sum(s["matvecs"] for s in res.stages) + sizing == summary.matvecs
+    assert summary.matvecs == problem.matvec_total - before
+    for trace in stage_traces(res):
+        assert acceptance_violation(trace, SolverConfig.sigma) <= 1e-12
+
+
 class TestSchedule:
     def test_strictly_decreasing_and_ends_at_target(self):
         sched = ContinuationSchedule(tau_target=1e-4)
-        taus = sched.stages(scale=1.0)
+        weights = sched.weights(scale=1.0, eps=1e-6)
+        taus = [tau for tau, _ in weights]
         assert taus[-1] == 1e-4
         assert all(a > b for a, b in zip(taus, taus[1:]))
         assert taus[0] == pytest.approx(0.9)
         # every weight but the last stops at INNER_EPS, the last at the caller's eps
-        assert sched.weights(1.0, 1e-6) == [(t, INNER_EPS) for t in taus[:-1]] + [(1e-4, 1e-6)]
+        assert weights == [(t, INNER_EPS) for t in taus[:-1]] + [(1e-4, 1e-6)]
 
     def test_degenerate_when_target_above_scale(self):
         sched = ContinuationSchedule(tau_target=2.0)
-        assert sched.stages(scale=1.0) == [2.0]
+        assert sched.weights(scale=1.0, eps=1e-6) == [(2.0, 1e-6)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,7 +141,7 @@ class TestSolveWithContinuation:
         sched = ContinuationSchedule(tau_target=1e-3)
         cfg = SolverConfig(eps=1e-6)
         res = solve_with_continuation(prob, sched, cfg)
-        taus = sched.stages(np.max(np.abs(prob.op.matrix.T @ prob.b)))
+        taus = [tau for tau, _ in sched.weights(np.max(np.abs(prob.op.matrix.T @ prob.b)), 1e-6)]
         assert [s["tau"] for s in res.stages] == taus
         # each stage's first record objective equals the previous stage's
         # final iterate re-evaluated under the new weight
@@ -149,6 +182,12 @@ class TestSolveWithContinuation:
         for got, want in zip(res.trace.records, records):
             assert without_wall_time(got) == without_wall_time(want)
         assert without_wall_time(res.trace.summary) == without_wall_time(summary)
+
+    def test_schedule_must_end_at_the_problem_weight(self):
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-3)
+        with pytest.raises(ValueError, match=r"tau_target 0\.0001 .* tau 0\.001$"):
+            solve_with_continuation(prob, ContinuationSchedule(tau_target=1e-4))
+        assert prob.matvec_total == 0
 
     def test_failed_stage_keeps_its_cause(self, monkeypatch, tmp_path):
         taus = []  # the weights line_search_step has seen, in order

@@ -37,6 +37,7 @@ from conftest import (
     IdentityOperator,
     adaptive_reference_oracle,
     running_window_max,
+    stage_traces,
     stationarity_residual,
 )
 
@@ -562,17 +563,6 @@ class TestCertifiedResidual:
 BPDN_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "bpdn-sweep.json"
 
 
-def stage_traces(res):
-    """The result's trace cut into its stages; the last one keeps the summary."""
-    traces, start = [], 0
-    for i, stage in enumerate(res.stages):
-        summary = res.trace.summary if i == len(res.stages) - 1 else None
-        traces.append(Trace(res.trace.records[start : start + stage["iters"]], summary))
-        start += stage["iters"]
-    assert start == len(res.trace.records)
-    return traces
-
-
 class TestPrecisionStages:
     """A large dense problem runs in float32 first and finishes in float64."""
 
@@ -640,6 +630,19 @@ class TestPrecisionStages:
         for prob in (first, second):
             matrix = prob.float32_stage().op.matrix
             assert np.array_equal(matrix, prob.op.matrix.astype(np.float32))
+
+    def test_float32_stage_converging_on_the_last_allowed_iteration(self):
+        # the float32 stage passes its test on iteration max_iters: the float64
+        # stage still evaluates f and its gradient (3 matvecs) but runs no iteration
+        prob = gen_bpdn(k=256, n=1024, spikes=160, seed=0, tau=1e-3)
+        res = solve(prob, GLL_EPS_1E5.replaced(max_iters=961))
+        assert res.status == "iter-limit"
+        assert res.trace.records[-1].step_inf <= FLOAT32_EPS_FLOOR
+        assert res.stages == [
+            {"tau": 1e-3, "iters": 961, "matvecs": 3069, "precision": "float32"},
+            {"tau": 1e-3, "iters": 0, "matvecs": 3, "precision": "float64"},
+        ]
+        assert res.trace.summary.matvecs == prob.matvec_total == 3072
 
     def test_iteration_cap_inside_the_float32_stage(self):
         prob = gen_bpdn(k=256, n=1024, spikes=160, seed=0, tau=1e-3)
