@@ -64,9 +64,12 @@ FLOAT32_MIN_ENTRIES = 2**16
 class LeastSquaresProblem:
     """Data term 0.5 ||A x - b||^2 plus a convex regularizer.
 
-    The gradient is A^T (A x - b). Each instance owns its operator's
-    matvec counter: one forward per objective evaluation, one forward
-    plus one adjoint per gradient.
+    The gradient is A^T r with r = A x - b. Each instance owns its
+    operator's matvec counter: one forward per objective evaluation, and
+    one adjoint per gradient whose residual is passed in (a forward more
+    when it is not). ``f_value(x, with_residual=True)`` hands back the r it
+    formed, so a gradient at a point whose objective is known costs one
+    product.
     """
 
     op: LinearOperator
@@ -75,14 +78,18 @@ class LeastSquaresProblem:
     x1: np.ndarray
     x_true: np.ndarray | None = None
 
-    def f_value(self, x) -> float:
+    def f_value(self, x, with_residual: bool = False):
+        """f(x), or ``(f(x), r)`` with ``r = A x - b`` when ``with_residual``."""
         r = self.op.apply(x)
         r -= self.b
-        return 0.5 * float(r @ r)
+        value = 0.5 * float(r @ r)
+        return (value, r) if with_residual else value
 
-    def f_grad(self, x) -> np.ndarray:
-        r = self.op.apply(x)
-        r -= self.b
+    def f_grad(self, x, r=None) -> np.ndarray:
+        """A^T r, forming ``r = A x - b`` unless the residual at ``x`` is given."""
+        if r is None:
+            r = self.op.apply(x)
+            r -= self.b
         return self.op.adjoint(r)
 
     @property
@@ -115,10 +122,13 @@ class OracleProblem:
     regularizer: Regularizer
     x1: np.ndarray
 
-    def f_value(self, x) -> float:
-        return float(self.value_fn(np.asarray(x, dtype=float)))
+    def f_value(self, x, with_residual: bool = False):
+        """f(x), or ``(f(x), None)`` when ``with_residual``: an oracle has no residual."""
+        value = float(self.value_fn(np.asarray(x, dtype=float)))
+        return (value, None) if with_residual else value
 
-    def f_grad(self, x) -> np.ndarray:
+    def f_grad(self, x, r=None) -> np.ndarray:
+        """The gradient at ``x``; ``r`` is accepted for the solver's sake and ignored."""
         return np.asarray(self.grad_fn(np.asarray(x, dtype=float)), dtype=float)
 
     matvec_total = 0

@@ -36,8 +36,17 @@ stages. A stage that stops short of its test ends the weight, so a
 converged solve's final objective and residual come from float64
 products. ``SolveResult.stages`` reports each stage's cost.
 
+A gradient reuses the data residual ``r = A x - b`` that its point's
+objective evaluation formed (``f_value(x, with_residual=True)``, then
+``f_grad(x, r)``), and ``r`` is dropped once the gradient is built. For
+a least-squares problem a stage start then costs one forward and one
+adjoint product, and an iteration one forward per trial plus one
+adjoint: a stage with ``iters`` iterations and ``trials`` trials
+(iterations plus backtracks) costs ``2 + trials + iters`` matvecs.
+
 Under continuation (a ``schedule``, see :mod:`sparsa.continuation`) one
-gradient at zero sizes a decreasing sequence of weights, and the stage loop
+gradient at zero (2 matvecs: no residual is in hand) sizes a decreasing
+sequence of weights, and the stage loop
 runs once per weight from the last one's iterate: its own regularizer and
 tolerance, a fresh window, seed, ``(s, y)`` pair and prox state, and its
 own precision stages on the solve's one float32 view. The records and the
@@ -357,18 +366,23 @@ def line_search_step(
 ):
     """Backtracking on alpha = eta^j * seed until acceptance.
 
-    Requires phi_ref >= phi(x). Returns ``(x_next, obj_next, alpha, j,
-    step, step_sq)`` for the smallest j whose subproblem solution satisfies
-    the acceptance inequality, where ``step = x_next - x`` and ``step_sq =
-    step . step``. Each trial forms ``u`` in one fresh vector and, once
-    the prox has returned, writes the step into it.
+    Requires phi_ref >= phi(x). ``f_value(z, with_residual=True)`` returns
+    f(z) and the residual a gradient at z may reuse (or ``None``). Returns
+    ``(x_next, obj_next, alpha, j, step, step_sq, r)`` for the smallest j
+    whose subproblem solution satisfies the acceptance inequality, where
+    ``step = x_next - x``, ``step_sq = step . step`` and ``r`` is
+    x_next's residual. Each trial forms ``u`` in one fresh vector and, once
+    the prox has returned, writes the step into it; a rejected trial's
+    residual is dropped before the next trial is formed.
     """
     for j in range(cfg.max_backtracks + 1):
         alpha = alpha_seed * cfg.eta**j
         u = np.divide(g, 2.0 * alpha)
         np.subtract(x, u, out=u)
         z = reg.prox(u, alpha, state=prox_state)
-        obj_z = float(f_value(z)) + reg.value(z)
+        psi_z = reg.value(z)  # first: its work array and the residual are never alive together
+        f_z, r = f_value(z, with_residual=True)
+        obj_z = float(f_z) + psi_z
         if not math.isfinite(obj_z):
             raise NonFiniteObjective(
                 f"objective is {obj_z} at alpha={alpha:g} (backtrack {j})"
@@ -376,7 +390,8 @@ def line_search_step(
         diff = np.subtract(z, x, out=u)
         step_sq = float(diff @ diff)
         if obj_z <= phi_ref - cfg.sigma * alpha * step_sq:
-            return z, obj_z, alpha, j, diff, step_sq
+            return z, obj_z, alpha, j, diff, step_sq, r
+        del r
     raise BacktrackLimitExceeded(
         f"no acceptable step within {cfg.max_backtracks} backtracks "
         f"(seed {alpha_seed:g}); f may be non-smooth or the prox broken"
@@ -386,7 +401,8 @@ def line_search_step(
 def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResult:
     """Run the solver on ``problem`` until a stopping test fires.
 
-    ``problem`` must provide ``f_value(x)``, ``f_grad(x)``, a
+    ``problem`` must provide ``f_value(x, with_residual)`` and ``f_grad(x,
+    r)`` (see :class:`~sparsa.problems.LeastSquaresProblem`), a
     ``regularizer``, a starting point ``x1``, a ``matvec_total``
     attribute and ``float32_stage()``, which returns the problem each
     weight's float32 stage runs on, or ``None`` (see the module docstring).
@@ -433,10 +449,12 @@ def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResul
             k = 0
             for stage, stage_eps in precision_stages:
                 iters0, stage_matvecs0 = len(records), problem.matvec_total
-                obj = float(stage.f_value(x)) + reg.value(x)
+                f_x, r = stage.f_value(x, with_residual=True)
+                obj = float(f_x) + reg.value(x)
                 if not math.isfinite(obj):
                     raise NonFiniteObjective("objective at the starting point is not finite")
-                g = stage.f_grad(x)
+                g = stage.f_grad(x, r)
+                del r
                 # phi(x) opens the window or, after a precision switch, takes
                 # the place of its last entry, so phi_ref >= phi(x) still holds
                 window[-1] = obj
@@ -451,7 +469,7 @@ def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResul
                         phi_ref = adaptive_reference(k, window, phi_ref_prev, phi_max, cfg)
                     phi_ref_prev = phi_ref
 
-                    z, obj_z, alpha, j, diff, step_sq = line_search_step(
+                    z, obj_z, alpha, j, diff, step_sq, r = line_search_step(
                         x, g, phi_ref, stored_seed, stage.f_value, reg, cfg, prox_state
                     )
                     if prox_state is not None:
@@ -472,7 +490,8 @@ def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResul
                         )
                     )
 
-                    g_new = stage.f_grad(z)
+                    g_new = stage.f_grad(z, r)
+                    del r  # no residual outlives its gradient
                     s_prev = diff
                     y_prev = g_new - g
                     x, g, obj = z, g_new, obj_z
@@ -492,7 +511,7 @@ def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResul
             if schedule is None:
                 raise
             cause = f"{type(exc).__name__}: {exc}"
-            raise RuntimeError(f"continuation stage {i} (tau={reg.tau:g}) failed: {cause}") from exc
+            raise RuntimeError(f"continuation weight {i} (tau={reg.tau:g}) failed: {cause}") from exc
 
     summary = SolveSummary(
         status=status,

@@ -134,7 +134,9 @@ class TestSolveWithContinuation:
         assert res.status == "converged"
         assert len(res.trace.records) == 1
         assert res.trace.summary.final_residual == 0.0
-        assert res.trace.summary.matvecs == 8
+        # sizing gradient (2), the start's objective and gradient (2), one
+        # trial (1) and its gradient's adjoint (1)
+        assert res.trace.summary.matvecs == 6
 
     def test_warm_start_objective_consistency(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=2, tau=1e-3)
@@ -204,7 +206,7 @@ class TestSolveWithContinuation:
         with pytest.raises(RuntimeError) as exc:
             solve_with_continuation(prob, ContinuationSchedule(tau_target=1e-4))
         message = (
-            f"continuation stage 1 (tau={taus[1]:g}) failed: "
+            f"continuation weight 1 (tau={taus[1]:g}) failed: "
             "BacktrackLimitExceeded: line search gave up"
         )
         assert str(exc.value) == message
@@ -224,12 +226,12 @@ class TestSolveWithContinuation:
             prob, ContinuationSchedule(tau_target=1e-4), SolverConfig(max_iters=4)
         )
         assert res.status == "iter-limit"
-        # 3 matvecs at the start of a weight, then per iteration one trial
-        # (no backtracks) and one gradient; the sizing gradient adds 2
+        # 2 matvecs at the start of a weight, then per iteration one trial
+        # (no backtracks) and one adjoint for its gradient; the sizing gradient adds 2
         assert [(s["iters"], s["matvecs"], s["precision"]) for s in res.stages] == [
-            (4, 15, "float32")
+            (4, 10, "float32")
         ] * 7
-        assert res.trace.summary.matvecs == 7 * 15 + 2 == 107
+        assert res.trace.summary.matvecs == 7 * 10 + 2 == 72
 
     def test_merged_columns_never_decrease(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-3)

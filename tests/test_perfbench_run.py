@@ -50,7 +50,7 @@ def test_run_solve_passes_its_checks(perfbench, use_continuation):
 
 
 @pytest.mark.parametrize(
-    "use_continuation, matvecs", [(False, 6), (True, 8)], ids=["plain", "continuation"]
+    "use_continuation, matvecs", [(False, 4), (True, 6)], ids=["plain", "continuation"]
 )
 def test_run_solve_accepts_an_exact_optimum(perfbench, use_continuation, matvecs):
     # above ||A^T b||_inf the optimum is x = 0, the starting point itself

@@ -113,6 +113,11 @@ def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
         op.forward_count + op.adjoint_count - before
     ) > 0
     assert m["solver.iterations"] == len(result.trace.records) > 0
+    # each objective evaluation makes the one forward product of its point,
+    # and each gradient reuses that residual: one adjoint. Only the gradient
+    # at zero that sizes the continuation weights forms its own residual.
+    assert m["linops.adjoint_calls"] == m["problems.f_grad_calls"]
+    assert m["linops.apply_calls"] == m["problems.f_value_calls"] + (make is bpdn_continuation)
     if make is bpdn_continuation:  # the weights, sizing gradient included, run in one solve span
         assert m["continuation.stages"] == 1 < len(result.stages)
         assert m["continuation.outside_matvecs"] == 0

@@ -52,6 +52,11 @@ LINE_SEARCH_CONSTANTS = [
 ]
 
 
+def without_residual(value_fn):
+    """An ``f_value`` for ``line_search_step`` built from a bare objective."""
+    return lambda x, with_residual: (value_fn(x), None)
+
+
 def quadratic_problem(center=3.0):
     return OracleProblem(
         value_fn=lambda x: 0.5 * (x[0] - center) ** 2,
@@ -189,7 +194,7 @@ class TestLineSearch:
         prob = quadratic_problem(center=1.0)
         x = np.array([0.0])
         g = np.array([-1.0])
-        z, obj, alpha, j, step, step_sq = line_search_step(
+        z, obj, alpha, j, step, step_sq, r = line_search_step(
             x, g, phi_ref=0.5, alpha_seed=1.0, f_value=prob.f_value,
             reg=L1Regularizer(0.0), cfg=cfg,
         )
@@ -199,6 +204,22 @@ class TestLineSearch:
         assert j == 0
         assert np.array_equal(step, z - x)
         assert step_sq == float(step @ step)
+        assert r is None  # an oracle has no residual
+
+    def test_returns_the_accepted_trials_residual(self):
+        prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-3)
+        x = prob.x1
+        g = prob.f_grad(x)
+        phi = prob.f_value(x) + prob.regularizer.value(x)
+        before = prob.matvec_total
+        z, obj, _, j, _, _, r = line_search_step(
+            x, g, phi_ref=phi, alpha_seed=1e-3, f_value=prob.f_value,
+            reg=prob.regularizer, cfg=SolverConfig(),
+        )
+        assert j > 0  # the residual handed back is the accepted trial's, not a rejected one's
+        assert prob.matvec_total - before == j + 1  # one forward per trial, nothing else
+        assert np.array_equal(r, prob.op.matrix @ z - prob.b)
+        assert np.array_equal(prob.f_grad(z, r), prob.f_grad(z))
 
     def test_fixed_point_at_minimizer(self):
         cfg = SolverConfig()
@@ -209,7 +230,7 @@ class TestLineSearch:
             x1=np.array([0.0]),
         )
         x = np.array([0.0])
-        z, obj, alpha, j, _, _ = line_search_step(
+        z, obj, alpha, j, _, _, _ = line_search_step(
             x, np.array([0.0]), phi_ref=0.0, alpha_seed=1.0,
             f_value=prob.f_value, reg=prob.regularizer, cfg=cfg,
         )
@@ -229,9 +250,10 @@ class TestLineSearch:
                 expected_j = j
                 break
 
-        z, obj, alpha, j, _, _ = line_search_step(
+        z, obj, alpha, j, _, _, _ = line_search_step(
             np.array([x0]), np.array([g0]), phi_ref=phi0, alpha_seed=seed,
-            f_value=lambda x: 0.5 * (10 * x[0]) ** 2, reg=L1Regularizer(0.0), cfg=cfg,
+            f_value=without_residual(lambda x: 0.5 * (10 * x[0]) ** 2),
+            reg=L1Regularizer(0.0), cfg=cfg,
         )
         assert j == expected_j
 
@@ -241,7 +263,7 @@ class TestLineSearch:
         with pytest.raises(BacktrackLimitExceeded):
             line_search_step(
                 np.array([1.0]), np.array([1.0]), phi_ref=0.0, alpha_seed=1.0,
-                f_value=lambda x: 1.0, reg=L1Regularizer(0.0), cfg=cfg,
+                f_value=without_residual(lambda x: 1.0), reg=L1Regularizer(0.0), cfg=cfg,
             )
 
     def test_non_finite_objective_raises(self):
@@ -249,7 +271,7 @@ class TestLineSearch:
         with pytest.raises(NonFiniteObjective):
             line_search_step(
                 np.array([1.0]), np.array([1.0]), phi_ref=1.0, alpha_seed=1.0,
-                f_value=lambda x: float("nan"), reg=L1Regularizer(0.0), cfg=cfg,
+                f_value=without_residual(lambda x: float("nan")), reg=L1Regularizer(0.0), cfg=cfg,
             )
 
 
@@ -305,7 +327,8 @@ class TestSolve:
         assert len(res.trace.records) == 1
         assert np.array_equal(res.x, np.zeros(2))
         assert res.trace.summary.final_residual == 0.0
-        assert res.trace.summary.matvecs == 6
+        # the start's objective and gradient (2), one trial (1), its gradient (1)
+        assert res.trace.summary.matvecs == 4
 
     def test_iter_limit_status(self):
         res = solve(quadratic_problem(), SolverConfig(eps=1e-14, max_iters=3))
@@ -393,10 +416,11 @@ class TestSolve:
         res = solve(prob, SolverConfig(eps=1e-7))
         iters = len(res.trace.records)
         backtracks = sum(r.backtracks for r in res.trace.records)
-        # start-up: 1 objective (1 fwd) + 1 gradient (2); per iteration: one
-        # accepted trial objective (1 fwd) + backtrack objectives + gradient (2)
+        # start-up: 1 objective (1 fwd) + its gradient (1 adj, reusing the
+        # residual); per iteration: one forward per trial, accepted or not,
+        # and one adjoint for the accepted trial's gradient
         trials = iters + backtracks
-        expected = 3 + trials + 2 * iters
+        expected = 2 + trials + iters
         assert prob.matvec_total == expected
 
     def test_matvecs_count_this_solve_only(self):
@@ -577,11 +601,11 @@ class TestPrecisionStages:
         assert all(s["tau"] == tau and s["iters"] > 0 for s in res.stages)
         assert sum(s["matvecs"] for s in res.stages) == summary.matvecs
         assert summary.matvecs == prob.matvec_total - before
-        # float32 products count too: an objective and a gradient (3 matvecs)
+        # float32 products count too: an objective and a gradient (2 matvecs)
         # at the start and at the switch, one forward per line-search trial
-        # and one gradient per iteration
+        # and one adjoint per iteration
         trials = summary.iters + sum(r.backtracks for r in res.trace.records)
-        assert summary.matvecs == 2 * 3 + trials + 2 * summary.iters
+        assert summary.matvecs == 2 * 2 + trials + summary.iters
         for trace in stage_traces(res):
             assert acceptance_violation(trace, GLL_EPS_1E5.sigma) <= 1e-12
         # the float32 stage stopped at the floor, the float64 one at eps
@@ -633,16 +657,16 @@ class TestPrecisionStages:
 
     def test_float32_stage_converging_on_the_last_allowed_iteration(self):
         # the float32 stage passes its test on iteration max_iters: the float64
-        # stage still evaluates f and its gradient (3 matvecs) but runs no iteration
+        # stage still evaluates f and its gradient (2 matvecs) but runs no iteration
         prob = gen_bpdn(k=256, n=1024, spikes=160, seed=0, tau=1e-3)
         res = solve(prob, GLL_EPS_1E5.replaced(max_iters=961))
         assert res.status == "iter-limit"
         assert res.trace.records[-1].step_inf <= FLOAT32_EPS_FLOOR
         assert res.stages == [
-            {"tau": 1e-3, "iters": 961, "matvecs": 3069, "precision": "float32"},
-            {"tau": 1e-3, "iters": 0, "matvecs": 3, "precision": "float64"},
+            {"tau": 1e-3, "iters": 961, "matvecs": 2107, "precision": "float32"},
+            {"tau": 1e-3, "iters": 0, "matvecs": 2, "precision": "float64"},
         ]
-        assert res.trace.summary.matvecs == prob.matvec_total == 3072
+        assert res.trace.summary.matvecs == prob.matvec_total == 2109
 
     def test_iteration_cap_inside_the_float32_stage(self):
         prob = gen_bpdn(k=256, n=1024, spikes=160, seed=0, tau=1e-3)
