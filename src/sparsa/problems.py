@@ -24,7 +24,6 @@ from .linops import (
     Blur2D,
     ComposedOperator,
     DenseOperator,
-    Float32DenseOperator,
     HaarSynthesis2D,
     LinearOperator,
     PartialFourier2D,
@@ -52,14 +51,6 @@ def linf(v) -> float:
     return float(np.max(np.abs(v)))
 
 
-# A dense operator with at least this many entries (0.5 MiB in float64) gets
-# a float32 stage. A forward plus adjoint pair took, in float32 against
-# float64 (one BLAS thread, 2 MiB L2): 5.9 against 5.7 us at 64x256, 0.51x
-# the time at 128x512 and 0.30x at 256x1024, where the float64 matrix and
-# its vectors no longer fit in the L2.
-FLOAT32_MIN_ENTRIES = 2**16
-
-
 @dataclass
 class LeastSquaresProblem:
     """Data term 0.5 ||A x - b||^2 plus a convex regularizer.
@@ -67,9 +58,8 @@ class LeastSquaresProblem:
     The gradient is A^T r with r = A x - b. Each instance owns its
     operator's matvec counter: one forward per objective evaluation, and
     one adjoint per gradient whose residual is passed in (a forward more
-    when it is not). ``f_value(x, with_residual=True)`` hands back the r it
-    formed, so a gradient at a point whose objective is known costs one
-    product.
+    when it is not). ``f_value(x)`` hands back the r it formed with f(x),
+    so a gradient at a point whose objective is known costs one product.
     """
 
     op: LinearOperator
@@ -78,12 +68,11 @@ class LeastSquaresProblem:
     x1: np.ndarray
     x_true: np.ndarray | None = None
 
-    def f_value(self, x, with_residual: bool = False):
-        """f(x), or ``(f(x), r)`` with ``r = A x - b`` when ``with_residual``."""
+    def f_value(self, x) -> tuple[float, np.ndarray]:
+        """``(f(x), r)`` with ``r = A x - b``."""
         r = self.op.apply(x)
         r -= self.b
-        value = 0.5 * float(r @ r)
-        return (value, r) if with_residual else value
+        return 0.5 * float(r @ r), r
 
     def f_grad(self, x, r=None) -> np.ndarray:
         """A^T r, forming ``r = A x - b`` unless the residual at ``x`` is given."""
@@ -97,17 +86,13 @@ class LeastSquaresProblem:
         return self.op.matvec_total
 
     def float32_stage(self) -> "LeastSquaresProblem | None":
-        """This problem with float32 products, or ``None`` if it has no float32 stage.
+        """This problem over its operator's float32 twin, or ``None`` if it has none.
 
-        Only a dense operator with at least ``FLOAT32_MIN_ENTRIES`` entries
-        has one. Its products count on this problem's operator, and it is
-        valid until the next float32 stage is made (see
-        :class:`Float32DenseOperator`): a solve makes one and runs every
-        weight's float32 stage on it.
+        See :meth:`~sparsa.linops.LinearOperator.float32`: the twin's
+        products count on this problem's operator.
         """
-        if isinstance(self.op, DenseOperator) and self.op.matrix.size >= FLOAT32_MIN_ENTRIES:
-            return self.replaced(op=Float32DenseOperator(self.op))
-        return None
+        twin = self.op.float32()
+        return None if twin is None else self.replaced(op=twin)
 
     def replaced(self, **kwargs) -> "LeastSquaresProblem":
         return replace(self, **kwargs)
@@ -122,10 +107,9 @@ class OracleProblem:
     regularizer: Regularizer
     x1: np.ndarray
 
-    def f_value(self, x, with_residual: bool = False):
-        """f(x), or ``(f(x), None)`` when ``with_residual``: an oracle has no residual."""
-        value = float(self.value_fn(np.asarray(x, dtype=float)))
-        return (value, None) if with_residual else value
+    def f_value(self, x) -> tuple[float, None]:
+        """``(f(x), None)``: an oracle has no residual."""
+        return float(self.value_fn(np.asarray(x, dtype=float))), None
 
     def f_grad(self, x, r=None) -> np.ndarray:
         """The gradient at ``x``; ``r`` is accepted for the solver's sake and ignored."""

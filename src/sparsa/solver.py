@@ -25,19 +25,20 @@ d psi(x_next)``; its max norm is the residual, which the stop value
 the inner TV solve's error.
 
 Each weight runs a list of precision stages in one loop: the problem to
-``eps`` or, when ``float32_stage()`` returns a float32 view of it (a large
-dense least-squares problem), the view to ``max(eps, FLOAT32_EPS_FLOOR)``
-and then the problem to ``eps``. A stage starts by evaluating f and its
-gradient at x through its own products; the first opens the window with
-phi(x), a later one puts its float64 phi(x) in place of the window's last
-entry, so ``phi_ref >= phi(x)`` still holds. The seed, ``(s, y)`` pair,
+``eps`` or, when ``float32_stage()`` returns a float32 view of it (a
+least-squares problem whose operator's ``float32()`` gives a twin: today a
+large dense one), the view to ``max(eps, FLOAT32_EPS_FLOOR)`` and then the
+problem to ``eps``. A stage starts by evaluating f and its gradient at x
+through its own products; the first opens the window with phi(x), a later
+one puts its float64 phi(x) in place of the window's last entry, so
+``phi_ref >= phi(x)`` still holds. The seed, ``(s, y)`` pair,
 prox state and iteration count (capped by ``max_iters``) carry across the
 stages. A stage that stops short of its test ends the weight, so a
 converged solve's final objective and residual come from float64
 products. ``SolveResult.stages`` reports each stage's cost.
 
 A gradient reuses the data residual ``r = A x - b`` that its point's
-objective evaluation formed (``f_value(x, with_residual=True)``, then
+objective evaluation formed (``f_value(x)`` returns ``(f(x), r)``, then
 ``f_grad(x, r)``), and ``r`` is dropped once the gradient is built. For
 a least-squares problem a stage start then costs one forward and one
 adjoint product, and an iteration one forward per trial plus one
@@ -366,8 +367,8 @@ def line_search_step(
 ):
     """Backtracking on alpha = eta^j * seed until acceptance.
 
-    Requires phi_ref >= phi(x). ``f_value(z, with_residual=True)`` returns
-    f(z) and the residual a gradient at z may reuse (or ``None``). Returns
+    Requires phi_ref >= phi(x). ``f_value(z)`` returns f(z) and the
+    residual a gradient at z may reuse (or ``None``). Returns
     ``(x_next, obj_next, alpha, j, step, step_sq, r)`` for the smallest j
     whose subproblem solution satisfies the acceptance inequality, where
     ``step = x_next - x``, ``step_sq = step . step`` and ``r`` is
@@ -381,7 +382,7 @@ def line_search_step(
         np.subtract(x, u, out=u)
         z = reg.prox(u, alpha, state=prox_state)
         psi_z = reg.value(z)  # first: its work array and the residual are never alive together
-        f_z, r = f_value(z, with_residual=True)
+        f_z, r = f_value(z)
         obj_z = float(f_z) + psi_z
         if not math.isfinite(obj_z):
             raise NonFiniteObjective(
@@ -401,11 +402,12 @@ def line_search_step(
 def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResult:
     """Run the solver on ``problem`` until a stopping test fires.
 
-    ``problem`` must provide ``f_value(x, with_residual)`` and ``f_grad(x,
-    r)`` (see :class:`~sparsa.problems.LeastSquaresProblem`), a
+    ``problem`` must provide ``f_value(x)``, returning ``(f(x), r)``, and
+    ``f_grad(x, r)`` (see :class:`~sparsa.problems.LeastSquaresProblem`), a
     ``regularizer``, a starting point ``x1``, a ``matvec_total``
     attribute and ``float32_stage()``, which returns the problem each
-    weight's float32 stage runs on, or ``None`` (see the module docstring).
+    weight's float32 stage runs on (over its operator's float32 twin), or
+    ``None`` (see the module docstring).
     The count feeds the per-iteration cost column, counted from the start
     of this solve (the operator's earlier work excluded). The run is
     single-threaded, owns all mutable state, and is deterministic:
@@ -449,7 +451,7 @@ def solve(problem, cfg: SolverConfig | None = None, schedule=None) -> SolveResul
             k = 0
             for stage, stage_eps in precision_stages:
                 iters0, stage_matvecs0 = len(records), problem.matvec_total
-                f_x, r = stage.f_value(x, with_residual=True)
+                f_x, r = stage.f_value(x)
                 obj = float(f_x) + reg.value(x)
                 if not math.isfinite(obj):
                     raise NonFiniteObjective("objective at the starting point is not finite")

@@ -13,6 +13,7 @@ from conftest import (
     partial_fourier_complex_fft,
 )
 from sparsa.linops import (
+    FLOAT32_MIN_ENTRIES,
     Blur2D,
     ComposedOperator,
     DenseOperator,
@@ -47,6 +48,17 @@ class TestApplyAdjointBasics:
     def test_dense_adjoint(self):
         op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])
         assert np.allclose(op.adjoint([1.0, 0.0]), [1.0, 2.0])
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_dense_products_are_matmul_in_the_matrix_dtype(self, rng, precision):
+        # FLOAT32_MIN_ENTRIES entries: the smallest matrix with a float32 twin
+        matrix = rng.standard_normal((128, 512))
+        op = DenseOperator(matrix)
+        if precision == "float32":
+            op, matrix = op.float32(), matrix.astype(np.float32)
+        x, y = rng.standard_normal(512), rng.standard_normal(128)
+        for product, a, v in ((op.apply, matrix, x), (op.adjoint, matrix.T, y)):
+            assert product(v).tobytes() == (a @ v.astype(a.dtype)).astype(np.float64).tobytes()
 
     def test_fourier_adjoint_of_zero(self):
         op = PartialFourier2D(4, 4, np.ones((4, 4), dtype=bool))
@@ -95,7 +107,7 @@ class TestAdjointConsistency:
 
     def test_out_receives_the_same_bytes(self, rng):
         # the private ``out=`` path a composition uses writes what the public call returns
-        for op in all_concrete_ops(rng):
+        for op in all_concrete_ops(rng) + [DenseOperator(rng.standard_normal((128, 512))).float32()]:
             x = rng.standard_normal(op.domain_dim)
             y = rng.standard_normal(op.range_dim)
             for private, public, v in ((op._apply, op.apply, x), (op._adjoint, op.adjoint, y)):
@@ -481,16 +493,26 @@ class TestSharedWorkSet:
 
 
 class TestCounting:
-    def test_counts_exact(self, rng):
-        op = DenseOperator(rng.standard_normal((3, 4)))
+    @pytest.mark.parametrize("counted", ["itself", "twin"])
+    def test_counts_exact(self, rng, counted):
+        op = DenseOperator(rng.standard_normal((128, 512)))
+        caller = op.float32() if counted == "twin" else op  # a twin counts on its original
         for _ in range(5):
-            op.apply(np.zeros(4))
+            caller.apply(np.zeros(512))
         for _ in range(3):
-            op.adjoint(np.zeros(3))
+            caller.adjoint(np.zeros(128))
         assert (op.forward_count, op.adjoint_count) == (5, 3)
-        assert op.matvec_total == 8
+        assert op.matvec_total == caller.matvec_total == 8
         op.reset_counters()
-        assert op.matvec_total == 0
+        assert op.matvec_total == caller.matvec_total == 0
+
+    def test_float32_twin_only_from_the_size_rule_up(self, rng):
+        assert 255 * 257 == FLOAT32_MIN_ENTRIES - 1
+        assert DenseOperator(np.ones((255, 257))).float32() is None
+        twin = DenseOperator(np.ones((128, 512))).float32()
+        assert type(twin) is DenseOperator and twin.matrix.dtype == np.float32
+        for op in all_concrete_ops(rng)[1:]:  # the image operators have no twin yet
+            assert not isinstance(op, DenseOperator) and op.float32() is None
 
     def test_composition_counts_once_and_constituents_none(self, rng):
         inner = HaarSynthesis2D(4, 4, 1)

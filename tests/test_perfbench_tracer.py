@@ -71,6 +71,13 @@ def bpdn():
     return problem, lambda: solver.solve(problem, solver.SolverConfig(eps=1e-6))
 
 
+def bpdn_float32():
+    # exactly FLOAT32_MIN_ENTRIES entries: a float32 stage on the operator's twin, then float64
+    problem = problems.gen_bpdn(k=128, n=512)
+    assert problem.op.matrix.size == linops.FLOAT32_MIN_ENTRIES
+    return problem, lambda: solver.solve(problem, solver.SolverConfig(eps=1e-5))
+
+
 def bpdn_continuation():
     problem = problems.gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-4)
     schedule = continuation.ContinuationSchedule(tau_target=1e-4)
@@ -91,7 +98,7 @@ def deblur():
 
 
 @pytest.mark.parametrize(
-    "make", [bpdn, bpdn_continuation, tv_phantom, deblur], ids=lambda f: f.__name__
+    "make", [bpdn, bpdn_float32, bpdn_continuation, tv_phantom, deblur], ids=lambda f: f.__name__
 )
 def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
     problem, run = make()
@@ -113,6 +120,8 @@ def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
         op.forward_count + op.adjoint_count - before
     ) > 0
     assert m["solver.iterations"] == len(result.trace.records) > 0
+    precisions = [stage["precision"] for stage in result.stages]
+    assert precisions == (["float32", "float64"] if make is bpdn_float32 else ["float64"] * len(precisions))
     # each objective evaluation makes the one forward product of its point,
     # and each gradient reuses that residual: one adjoint. Only the gradient
     # at zero that sizes the continuation weights forms its own residual.

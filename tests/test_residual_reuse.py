@@ -1,9 +1,9 @@
 """A gradient reuses the residual its point's objective formed.
 
-``solve`` evaluates ``f_value(x, with_residual=True)`` and builds the
-gradient at an accepted point as ``f_grad(x, r)``, one adjoint product. The
-iterates must be those of a solve whose gradient forms ``A x - b`` again,
-bit for bit, and no residual may outlive the gradient it feeds.
+``solve`` evaluates ``f_value(x)``, which returns ``(f(x), r)``, and builds
+the gradient at an accepted point as ``f_grad(x, r)``, one adjoint product.
+The iterates must be those of a solve whose gradient forms ``A x - b``
+again, bit for bit, and no residual may outlive the gradient it feeds.
 """
 
 import tracemalloc
@@ -30,11 +30,10 @@ from conftest import stage_traces
 class RecomputingProblem(LeastSquaresProblem):
     """The reference: each evaluation forms A x - b itself, and hands none out."""
 
-    def f_value(self, x, with_residual=False):
+    def f_value(self, x):
         r = self.op.apply(x)
         r -= self.b
-        value = 0.5 * float(r @ r)
-        return (value, None) if with_residual else value
+        return 0.5 * float(r @ r), None
 
     def f_grad(self, x, r=None):
         r = self.op.apply(x)
@@ -49,12 +48,11 @@ class WatchedProblem(LeastSquaresProblem):
     handed out earlier are still alive when the call starts.
     """
 
-    def f_value(self, x, with_residual=False):
+    def f_value(self, x):
         self.alive_at_call.append(sum(ref() is not None for ref in self.residuals))
-        out = super().f_value(x, with_residual)
-        if with_residual:
-            self.residuals.append(weakref.ref(out[1]))
-        return out
+        value, r = super().f_value(x)
+        self.residuals.append(weakref.ref(r))
+        return value, r
 
 
 def recast(cls, problem):

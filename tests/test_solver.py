@@ -9,8 +9,8 @@ import pytest
 
 from sparsa import regularizers
 from sparsa.continuation import ContinuationSchedule, solve_with_continuation
+from sparsa.linops import FLOAT32_MIN_ENTRIES
 from sparsa.problems import (
-    FLOAT32_MIN_ENTRIES,
     LeastSquaresProblem,
     OracleProblem,
     gen_bpdn,
@@ -54,7 +54,7 @@ LINE_SEARCH_CONSTANTS = [
 
 def without_residual(value_fn):
     """An ``f_value`` for ``line_search_step`` built from a bare objective."""
-    return lambda x, with_residual: (value_fn(x), None)
+    return lambda x: (value_fn(x), None)
 
 
 def quadratic_problem(center=3.0):
@@ -210,7 +210,7 @@ class TestLineSearch:
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=3, tau=1e-3)
         x = prob.x1
         g = prob.f_grad(x)
-        phi = prob.f_value(x) + prob.regularizer.value(x)
+        phi = prob.f_value(x)[0] + prob.regularizer.value(x)
         before = prob.matvec_total
         z, obj, _, j, _, _, r = line_search_step(
             x, g, phi_ref=phi, alpha_seed=1e-3, f_value=prob.f_value,
@@ -407,7 +407,7 @@ class TestSolve:
     def test_stored_objective_matches_recomputation(self):
         prob = gen_bpdn(k=32, n=128, spikes=10, seed=8)
         res = solve(prob, SolverConfig(eps=1e-7))
-        recomputed = prob.f_value(res.x) + prob.regularizer.value(res.x)
+        recomputed = prob.f_value(res.x)[0] + prob.regularizer.value(res.x)
         final = res.trace.summary.final_obj
         assert abs(recomputed - final) <= 1e-12 * max(1.0, abs(final))
 
@@ -612,7 +612,7 @@ class TestPrecisionStages:
         first = res.trace.records[res.stages[0]["iters"] - 1]
         assert first.step_inf <= FLOAT32_EPS_FLOOR
         assert res.trace.records[-1].step_inf <= GLL_EPS_1E5.eps
-        recomputed = prob.f_value(res.x) + prob.regularizer.value(res.x)
+        recomputed = prob.f_value(res.x)[0] + prob.regularizer.value(res.x)
         assert summary.final_obj == pytest.approx(recomputed, rel=1e-12)
         reference = json.loads(BPDN_REFERENCE.read_text())["0"][f"{tau:g}"]
         gap = (summary.final_obj - reference) / max(1.0, abs(reference))
