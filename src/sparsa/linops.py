@@ -43,6 +43,14 @@ class LinearOperator:
     another operator call; operators of one size must not be called from
     several threads at once. A returned array never shares memory with
     the set.
+
+    From ``FLOAT32_MIN_ENTRIES`` pixels up the blur and Haar operators and
+    their compositions have twins, which view the same memory as eight
+    float32 images: :class:`Blur2D`'s window sums go to rows 0 and 1, the
+    Haar scratch to row 2 and a composition's intermediate to row 3, as
+    in float64; row 4 holds a twin's input rounded to float32 and row 5
+    its float32 result, which is widened into the returned float64 array
+    (:func:`_run_in_work_dtype`). Rows 6 and 7 are unused.
     """
 
     def __init__(self, domain_dim: int, range_dim: int):
@@ -101,8 +109,9 @@ def _work_images(size: int) -> np.ndarray:
 
     Rows 0 and 1 hold :class:`Blur2D`'s window sums, row 2 the Haar
     transforms' scratch and row 3 a :class:`ComposedOperator`'s
-    intermediate. The set is created for the first operator of its size
-    and lives as long as one of them holds it.
+    intermediate; float32 twins view it as eight images (see
+    :class:`LinearOperator`). The set is created for the first operator
+    of its size and lives as long as one of them holds it.
     """
     work = _WORK_SETS.get(size)
     if work is None:
@@ -114,12 +123,48 @@ def _work_images(size: int) -> np.ndarray:
 # a float32 twin. A forward plus adjoint pair took, in float32 against
 # float64 (one BLAS thread, 2 MiB L2): 5.9 against 5.7 us at 64x256, 0.51x
 # the time at 128x512 and 0.30x at 256x1024, where the float64 matrix and
-# its vectors no longer fit in the L2.
+# its vectors no longer fit in the L2. An image operator with at least this
+# many pixels has one too: a blur-Haar forward plus adjoint pair at 256x256
+# took 0.67 to 0.74x the float64 time.
 FLOAT32_MIN_ENTRIES = 2**16
 
 # the float32 matrix of a dense twin (see DenseOperator.float32): one slot,
 # replaced only when a matrix of a new shape comes
 _float32_slot = np.empty((0, 0), dtype=np.float32)
+
+
+def _run_in_work_dtype(work, kernel, v, out, *args):
+    """``kernel(v, out, *args)`` run in the dtype of the work set ``work``.
+
+    On a float64 set this is the call itself. On a twin's float32 view a
+    float64 ``v`` is rounded once into row 4. A float32 ``out`` (a
+    composition's intermediate) is written directly; otherwise the kernel
+    writes row 5, which is widened into ``out`` or a fresh float64 array.
+    """
+    if work.dtype == np.float64:
+        return kernel(v, out, *args)
+    if v.dtype != work.dtype:
+        work[4] = v
+        v = work[4]
+    if out is not None and out.dtype == work.dtype:
+        return kernel(v, out, *args)
+    if out is None:
+        out = np.empty(work.shape[1])
+    out[...] = kernel(v, work[5], *args)
+    return out
+
+
+def _float32_twin(op):
+    """``op`` on the float32 view of its work set, or ``None`` below the size rule.
+
+    The twin is a shallow copy, so it counts on ``op``; its work set is
+    the same memory as eight float32 images (see :class:`LinearOperator`).
+    """
+    if op._work.shape[1] < FLOAT32_MIN_ENTRIES:
+        return None
+    twin = copy.copy(op)
+    twin._work = op._work.view(np.float32).reshape(8, -1)
+    return twin
 
 
 class DenseOperator(LinearOperator):
@@ -325,7 +370,7 @@ class Blur2D(LinearOperator):
         self._work = _work_images(rows * cols)
         super().__init__(rows * cols, rows * cols)
 
-    def _convolve(self, x, start, out):
+    def _convolve(self, x, out, start):
         m, size = self.mask_size, self.rows * self.cols
         if out is None:
             out = np.empty(size)
@@ -339,10 +384,15 @@ class Blur2D(LinearOperator):
         return out
 
     def _apply(self, x, out=None):
-        return self._convolve(x, self.mask_size // 2 - self.mask_size + 1, out)
+        return _run_in_work_dtype(self._work, self._convolve, x, out,
+                                  self.mask_size // 2 - self.mask_size + 1)
 
     def _adjoint(self, y, out=None):
-        return self._convolve(y, -(self.mask_size // 2), out)
+        return _run_in_work_dtype(self._work, self._convolve, y, out, -(self.mask_size // 2))
+
+    def float32(self) -> "Blur2D | None":
+        """A twin on the float32 view of the work set, or ``None`` below ``FLOAT32_MIN_ENTRIES`` pixels."""
+        return _float32_twin(self)
 
 
 def haar_analysis_2d(image: np.ndarray, levels: int, out, tmp) -> np.ndarray:
@@ -426,7 +476,7 @@ class HaarSynthesis2D(LinearOperator):
         self._work = _work_images(rows * cols)
         super().__init__(rows * cols, rows * cols)
 
-    def _transform(self, transform, v, out):
+    def _transform(self, v, out, transform):
         shape = (self.rows, self.cols)
         if out is None:
             out = np.empty(v.size)
@@ -434,10 +484,14 @@ class HaarSynthesis2D(LinearOperator):
         return out
 
     def _apply(self, x, out=None):
-        return self._transform(haar_synthesis_2d, x, out)
+        return _run_in_work_dtype(self._work, self._transform, x, out, haar_synthesis_2d)
 
     def _adjoint(self, y, out=None):
-        return self._transform(haar_analysis_2d, y, out)
+        return _run_in_work_dtype(self._work, self._transform, y, out, haar_analysis_2d)
+
+    def float32(self) -> "HaarSynthesis2D | None":
+        """A twin on the float32 view of the work set, or ``None`` below ``FLOAT32_MIN_ENTRIES`` pixels."""
+        return _float32_twin(self)
 
 
 class ComposedOperator(LinearOperator):
@@ -466,3 +520,14 @@ class ComposedOperator(LinearOperator):
     def _adjoint(self, y, out=None):
         return self.inner._adjoint(self.outer._adjoint(y, self._work[3]), out)
 
+    def float32(self) -> "ComposedOperator | None":
+        """A twin over its parts' twins, or ``None`` if either part has none.
+
+        The twin's intermediate is float32 row 3 of the work set, so one
+        product rounds its input once and widens its result once.
+        """
+        outer, inner = self.outer.float32(), self.inner.float32()
+        twin = None if outer is None or inner is None else _float32_twin(self)
+        if twin is not None:
+            twin.outer, twin.inner = outer, inner
+        return twin

@@ -26,12 +26,12 @@ the inner TV solve's error.
 
 Each weight runs a list of precision stages in one loop: the problem to
 ``eps`` or, when ``float32_stage()`` returns a float32 view of it (a
-least-squares problem whose operator's ``float32()`` gives a twin: today a
-large dense one), the view to ``max(eps, FLOAT32_EPS_FLOOR)`` and then the
-problem to ``eps``. A stage starts by evaluating f and its gradient at x
-through its own products; the first opens the window with phi(x), a later
-one puts its float64 phi(x) in place of the window's last entry, so
-``phi_ref >= phi(x)`` still holds. The seed, ``(s, y)`` pair,
+least-squares problem whose operator's ``float32()`` gives a twin: a large
+dense or blur-Haar one), the view to ``max(eps, FLOAT32_EPS_FLOOR)`` and
+then the problem to ``eps``. A stage starts by evaluating f and its
+gradient at x through its own products; the first opens the window with
+phi(x), a later one puts its float64 phi(x) in place of the window's last
+entry, so ``phi_ref >= phi(x)`` still holds. The seed, ``(s, y)`` pair,
 prox state and iteration count (capped by ``max_iters``) carry across the
 stages. A stage that stops short of its test ends the weight, so a
 converged solve's final objective and residual come from float64

@@ -25,6 +25,12 @@ from sparsa.linops import (
 from sparsa.problems import gen_deblur
 
 
+def image_ops_with_twins():
+    """The 256x256 image operators (FLOAT32_MIN_ENTRIES pixels): each has a twin."""
+    blur, haar = Blur2D(256, 256, 8), HaarSynthesis2D(256, 256, 3)
+    return [blur, haar, ComposedOperator(blur, haar), Blur2D(256, 256, 7)]
+
+
 def all_concrete_ops(rng):
     return [
         DenseOperator(rng.standard_normal((5, 9))),
@@ -107,13 +113,29 @@ class TestAdjointConsistency:
 
     def test_out_receives_the_same_bytes(self, rng):
         # the private ``out=`` path a composition uses writes what the public call returns
-        for op in all_concrete_ops(rng) + [DenseOperator(rng.standard_normal((128, 512))).float32()]:
+        twins = [DenseOperator(rng.standard_normal((128, 512))).float32()]
+        twins += [op.float32() for op in image_ops_with_twins()]
+        for op in all_concrete_ops(rng) + twins:
             x = rng.standard_normal(op.domain_dim)
             y = rng.standard_normal(op.range_dim)
             for private, public, v in ((op._apply, op.apply, x), (op._adjoint, op.adjoint, y)):
                 out = np.empty(public(v).size)
                 assert private(v, out) is out
                 assert out.tobytes() == public(v).tobytes(), type(op).__name__
+
+    def test_image_twins_match_float64_to_float32_rounding(self, rng):
+        # one rounding of the input, float32 kernels, one widening of the result
+        for op in image_ops_with_twins():
+            twin = op.float32()
+            for _ in range(3):
+                x = rng.standard_normal(op.domain_dim)
+                y = rng.standard_normal(op.range_dim)
+                for got, want in ((twin.apply(x), op.apply(x)), (twin.adjoint(y), op.adjoint(y))):
+                    assert got.dtype == np.float64 and got.shape == want.shape
+                    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), type(op).__name__
+                lhs = float(twin.apply(x) @ y)
+                rhs = float(x @ twin.adjoint(y))
+                assert abs(lhs - rhs) <= 1e-6 * np.linalg.norm(x) * np.linalg.norm(y), type(op).__name__
 
     @pytest.mark.parametrize("m", [8, 7], ids=["m8", "m7"])
     def test_blur_256_dot_product_identity(self, rng, m):
@@ -421,6 +443,10 @@ class TestAllocationBudget:
     (about 1x) transformed in place, plus the sampled coefficients (0.2x
     each at a 10% mask) and, for the adjoint, the image. What the image
     operators hold between calls, the shared set, is bounded in images.
+    Their float32 twins run in the set's float32 view and hold no array of
+    their own. They allocate only their float64 result, and the buffered
+    butterfly operands are float32, half the bytes, so their Haar bounds
+    are tighter.
     """
 
     def test_blur_allocates_only_its_result(self, rng):
@@ -430,8 +456,9 @@ class TestAllocationBudget:
         assert peak_over_output(op.adjoint, x) <= 1.1
 
     def test_image_operators_hold_four_images_per_size(self):
-        blur, haar = Blur2D(256, 256, 8), HaarSynthesis2D(256, 256, 3)
-        ops = [blur, haar, ComposedOperator(blur, haar), Blur2D(256, 256, 7)]
+        ops = image_ops_with_twins()
+        twins = [op.float32() for op in ops]
+        ops += twins + [twins[2].outer, twins[2].inner]
         held = {}
         for op in ops:
             for v in vars(op).values():
@@ -456,6 +483,13 @@ class TestAllocationBudget:
         y = rng.standard_normal(op.range_dim)
         assert peak_over_output(op.apply, x) <= 1.5
         assert peak_over_output(op.adjoint, y) <= 1.5
+
+    def test_image_twins_allocate_only_their_result(self, rng):
+        blur, haar, composed, _ = (op.float32() for op in image_ops_with_twins())
+        x = rng.standard_normal(blur.domain_dim)
+        for fn, bound in ((blur.apply, 1.1), (blur.adjoint, 1.1), (haar.apply, 1.25),
+                          (haar.adjoint, 1.25), (composed.apply, 1.25), (composed.adjoint, 1.25)):
+            assert peak_over_output(fn, x) <= bound
 
     def test_partial_fourier_one_half_spectrum(self, rng):
         op = PartialFourier2D(256, 256, rng.random((256, 256)) < 0.1)
@@ -491,28 +525,53 @@ class TestSharedWorkSet:
             [a.tobytes() for pair in want for _ in range(2) for a in pair]
         assert not any(np.shares_memory(a, first._work) for pair in got + want for a in pair)
 
+    def test_twin_calls_interleaved_with_float64_ones_match_lone_calls(self, rng):
+        xs = [rng.standard_normal(256 * 256) for _ in range(3)]
+        ops = image_ops_with_twins()
+        ops += [op.float32() for op in ops]
+        want = [[(op.apply(x), op.adjoint(x)) for x in xs] for op in ops]
+        # float64 operators and twins take turns on one work set and its float32 view
+        got = [[(op.apply(x), op.adjoint(x)) for op in ops] for x in xs]
+        for i, per_x in enumerate(got):
+            for j, pair in enumerate(per_x):
+                assert [a.tobytes() for a in pair] == [a.tobytes() for a in want[j][i]]
+                assert not any(np.shares_memory(a, ops[0]._work) for a in pair)
+
 
 class TestCounting:
     @pytest.mark.parametrize("counted", ["itself", "twin"])
     def test_counts_exact(self, rng, counted):
-        op = DenseOperator(rng.standard_normal((128, 512)))
-        caller = op.float32() if counted == "twin" else op  # a twin counts on its original
-        for _ in range(5):
-            caller.apply(np.zeros(512))
-        for _ in range(3):
-            caller.adjoint(np.zeros(128))
-        assert (op.forward_count, op.adjoint_count) == (5, 3)
-        assert op.matvec_total == caller.matvec_total == 8
-        op.reset_counters()
-        assert op.matvec_total == caller.matvec_total == 0
+        for op in (DenseOperator(rng.standard_normal((128, 512))), image_ops_with_twins()[2]):
+            caller = op.float32() if counted == "twin" else op  # a twin counts on its original
+            for _ in range(5):
+                caller.apply(np.zeros(op.domain_dim))
+            for _ in range(3):
+                caller.adjoint(np.zeros(op.range_dim))
+            assert (op.forward_count, op.adjoint_count) == (5, 3)
+            assert op.matvec_total == caller.matvec_total == 8
+            op.reset_counters()
+            assert op.matvec_total == caller.matvec_total == 0
 
     def test_float32_twin_only_from_the_size_rule_up(self, rng):
         assert 255 * 257 == FLOAT32_MIN_ENTRIES - 1
         assert DenseOperator(np.ones((255, 257))).float32() is None
         twin = DenseOperator(np.ones((128, 512))).float32()
         assert type(twin) is DenseOperator and twin.matrix.dtype == np.float32
-        for op in all_concrete_ops(rng)[1:]:  # the image operators have no twin yet
-            assert not isinstance(op, DenseOperator) and op.float32() is None
+        for op in all_concrete_ops(rng)[1:]:  # image operators below 2^16 pixels
+            assert op.domain_dim < FLOAT32_MIN_ENTRIES and op.float32() is None
+        assert Blur2D(255, 257, 8).float32() is HaarSynthesis2D(128, 511, 0).float32() is None
+        for size in (256, 512):  # no Fourier twin at any size
+            assert PartialFourier2D(size, size, np.ones((size, size), bool)).float32() is None
+        for op in image_ops_with_twins():
+            twin = op.float32()
+            assert type(twin) is type(op) and twin._work.dtype == np.float32
+            assert np.shares_memory(twin._work, op._work)
+        composed = image_ops_with_twins()[2].float32()
+        assert type(composed.outer) is Blur2D and type(composed.inner) is HaarSynthesis2D
+        assert composed.outer._work.dtype == composed.inner._work.dtype == np.float32
+        # a composition has a twin only if both of its parts do
+        fourier = PartialFourier2D(256, 256, np.ones((256, 256), bool))
+        assert ComposedOperator(fourier, HaarSynthesis2D(256, 256, 3)).float32() is None
 
     def test_composition_counts_once_and_constituents_none(self, rng):
         inner = HaarSynthesis2D(4, 4, 1)

@@ -117,6 +117,16 @@ def test_deblur_cell_passes_its_checks(perfbench):
     assert out.matvecs > 0 and out.iters > 0
 
 
+def test_size_rule_splits_the_image_workloads(perfbench):
+    # deblur's 256x256 blur with Haar has a float32 stage; tv-phantom's
+    # 128x128 partial Fourier operator has none at any size
+    _, workloads = perfbench
+    for name, staged in (("deblur", True), ("tv-phantom", False)):
+        workload = workloads.WORKLOADS[name]
+        problem = workload.generate(0, workload.cells[0])
+        assert (problem.float32_stage() is not None) == staged, name
+
+
 TINY = {
     "bpdn-sweep": (1e-3, lambda i, tau: problems.gen_bpdn(k=32, n=128, spikes=10, seed=i, tau=tau)),
     "tv-phantom": (0.01, lambda i, tau: problems.gen_tv_phantom(rows=16, cols=16, seed=i, tau=tau)),

@@ -97,8 +97,16 @@ def deblur():
     return problem, lambda: solver.solve(problem, solver.SolverConfig(eps=1e-4))
 
 
+def deblur_float32():
+    # FLOAT32_MIN_ENTRIES pixels: the composition's twin, whose parts are twins too, counts on it
+    problem = problems.gen_deblur(problems.test_pattern(256, 256), seed=0, tau=5e-5)
+    assert problem.op.domain_dim == linops.FLOAT32_MIN_ENTRIES
+    return problem, lambda: solver.solve(problem, solver.SolverConfig(eps=1e-4))
+
+
 @pytest.mark.parametrize(
-    "make", [bpdn, bpdn_float32, bpdn_continuation, tv_phantom, deblur], ids=lambda f: f.__name__
+    "make", [bpdn, bpdn_float32, bpdn_continuation, tv_phantom, deblur, deblur_float32],
+    ids=lambda f: f.__name__,
 )
 def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
     problem, run = make()
@@ -121,7 +129,8 @@ def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
     ) > 0
     assert m["solver.iterations"] == len(result.trace.records) > 0
     precisions = [stage["precision"] for stage in result.stages]
-    assert precisions == (["float32", "float64"] if make is bpdn_float32 else ["float64"] * len(precisions))
+    staged = make in (bpdn_float32, deblur_float32)
+    assert precisions == (["float32", "float64"] if staged else ["float64"] * len(precisions))
     # each objective evaluation makes the one forward product of its point,
     # and each gradient reuses that residual: one adjoint. Only the gradient
     # at zero that sizes the continuation weights forms its own residual.
@@ -135,7 +144,7 @@ def test_traced_counts_match_package_counters(tracer_cls, make, monkeypatch):
     assert (sum(inner_steps) > 0) == (make is tv_phantom)
     if make is tv_phantom:  # every TV prox span wraps exactly one tv_prox call
         assert m["regularizers.prox_calls"] == len(inner_steps) > 0
-    if make is deblur:  # one span per application: no operator span inside another
+    if make in (deblur, deblur_float32):  # one span per application: no operator span inside another
         names = [span[0] for span in tracer.spans]
         assert not any(
             name.startswith("linops.") and parent >= 0 and names[parent].startswith("linops.")

@@ -588,7 +588,9 @@ BPDN_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 class TestPrecisionStages:
-    """A large dense problem runs in float32 first and finishes in float64."""
+    """A problem whose operator has a float32 twin (a large dense matrix, or
+    a blur-Haar composition of at least 2^16 pixels) runs in float32 first
+    and finishes in float64."""
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-4])
     def test_full_size_bpdn_switches_to_float64(self, tau):
@@ -675,6 +677,46 @@ class TestPrecisionStages:
         assert res.stages == [{
             "tau": 1e-3, "iters": 50, "matvecs": res.trace.summary.matvecs, "precision": "float32",
         }]
+
+    def test_full_size_deblur_switches_to_float64(self):
+        cfg = SolverConfig(eps=1e-4)  # the deblur workload's
+        prob = gen_deblur(rows=256, cols=256)
+        assert prob.op.domain_dim == FLOAT32_MIN_ENTRIES
+        res = solve(prob, cfg)
+        summary = res.trace.summary
+        assert res.status == "converged"
+        assert [s["precision"] for s in res.stages] == ["float32", "float64"]
+        assert sum(s["matvecs"] for s in res.stages) == summary.matvecs == prob.matvec_total
+        for trace in stage_traces(res):
+            assert acceptance_violation(trace, cfg.sigma) <= 1e-12
+        recomputed = prob.f_value(res.x)[0] + prob.regularizer.value(res.x)
+        assert summary.final_obj == pytest.approx(recomputed, rel=1e-12)
+        # a float64-only solve stops at the same loose eps on another path:
+        # the two objectives agree to 1% (0.26% on this instance)
+        plain = gen_deblur(rows=256, cols=256)
+        plain.op.float32 = lambda: None  # the same problem without its twin
+        res64 = solve(plain, cfg)
+        assert [s["precision"] for s in res64.stages] == ["float64"]
+        assert summary.final_obj == pytest.approx(res64.trace.summary.final_obj, rel=1e-2)
+
+    @pytest.mark.parametrize("make, cfg, counts", [
+        (lambda: gen_deblur(rows=64, cols=64), SolverConfig(eps=1e-4), (240, 108)),
+        (lambda: gen_tv_phantom(rows=128, cols=128, seed=0, tau=0.01), SolverConfig(eps=1e-5), (748, 306)),
+    ], ids=["deblur-64", "tv-phantom-128"])
+    def test_image_problems_below_the_size_rule_run_in_float64(self, make, cfg, counts):
+        prob = make()
+        assert prob.op.domain_dim < FLOAT32_MIN_ENTRIES and prob.float32_stage() is None
+        res = solve(prob, cfg)
+        assert [s["precision"] for s in res.stages] == ["float64"]
+        # pinned float64 counts: a change to the size rule that reached these
+        # problems would move them
+        assert (res.trace.summary.matvecs, res.trace.summary.iters) == counts
+        plain = make()
+        plain.op.float32 = lambda: None  # the same problem without a twin
+        again = solve(plain, cfg)
+        untimed = [[replace(r, wall_time=0.0) for r in t.trace.records] for t in (res, again)]
+        assert untimed[0] == untimed[1]
+        assert res.x.tobytes() == again.x.tobytes()
 
 
 class TestTraceSerialization:
