@@ -35,22 +35,6 @@ class LinearOperator:
     is a shallow copy: it holds the original's one pair of counts, so its
     products count on the original and ``reset_counters()`` on either
     resets both.
-
-    The image operators and compositions share one set of four flat work
-    images per image size (:func:`_work_images`), whose contents are
-    scratch between calls. One shared set is safe because the package is
-    single-threaded and no public ``apply`` / ``adjoint`` runs inside
-    another operator call; operators of one size must not be called from
-    several threads at once. A returned array never shares memory with
-    the set.
-
-    From ``FLOAT32_MIN_ENTRIES`` pixels up the blur and Haar operators and
-    their compositions have twins, which view the same memory as eight
-    float32 images: :class:`Blur2D`'s window sums go to rows 0 and 1, the
-    Haar scratch to row 2 and a composition's intermediate to row 3, as
-    in float64; row 4 holds a twin's input rounded to float32 and row 5
-    its float32 result, which is widened into the returned float64 array
-    (:func:`_run_in_work_dtype`). Rows 6 and 7 are unused.
     """
 
     def __init__(self, domain_dim: int, range_dim: int):
@@ -100,25 +84,6 @@ class LinearOperator:
         raise NotImplementedError
 
 
-# image size -> its shared (4, size) work set, dropped with its last operator
-_WORK_SETS = weakref.WeakValueDictionary()
-
-
-def _work_images(size: int) -> np.ndarray:
-    """The ``(4, size)`` work images shared by the operators of this size.
-
-    Rows 0 and 1 hold :class:`Blur2D`'s window sums, row 2 the Haar
-    transforms' scratch and row 3 a :class:`ComposedOperator`'s
-    intermediate; float32 twins view it as eight images (see
-    :class:`LinearOperator`). The set is created for the first operator
-    of its size and lives as long as one of them holds it.
-    """
-    work = _WORK_SETS.get(size)
-    if work is None:
-        work = _WORK_SETS[size] = np.empty((4, size))
-    return work
-
-
 # A dense operator with at least this many entries (0.5 MiB in float64) has
 # a float32 twin. A forward plus adjoint pair took, in float32 against
 # float64 (one BLAS thread, 2 MiB L2): 5.9 against 5.7 us at 64x256, 0.51x
@@ -133,47 +98,14 @@ FLOAT32_MIN_ENTRIES = 2**16
 _float32_slot = np.empty((0, 0), dtype=np.float32)
 
 
-def _run_in_work_dtype(work, kernel, v, out, *args):
-    """``kernel(v, out, *args)`` run in the dtype of the work set ``work``.
-
-    On a float64 set this is the call itself. On a twin's float32 view a
-    float64 ``v`` is rounded once into row 4. A float32 ``out`` (a
-    composition's intermediate) is written directly; otherwise the kernel
-    writes row 5, which is widened into ``out`` or a fresh float64 array.
-    """
-    if work.dtype == np.float64:
-        return kernel(v, out, *args)
-    if v.dtype != work.dtype:
-        work[4] = v
-        v = work[4]
-    if out is not None and out.dtype == work.dtype:
-        return kernel(v, out, *args)
-    if out is None:
-        out = np.empty(work.shape[1])
-    out[...] = kernel(v, work[5], *args)
-    return out
-
-
-def _float32_twin(op):
-    """``op`` on the float32 view of its work set, or ``None`` below the size rule.
-
-    The twin is a shallow copy, so it counts on ``op``; its work set is
-    the same memory as eight float32 images (see :class:`LinearOperator`).
-    """
-    if op._work.shape[1] < FLOAT32_MIN_ENTRIES:
-        return None
-    twin = copy.copy(op)
-    twin._work = op._work.view(np.float32).reshape(8, -1)
-    return twin
-
-
 class DenseOperator(LinearOperator):
     """Explicit matrix operator.
 
     A read-only float64 array that owns its data is kept, since nothing can
     write to it; anything else (a writeable array, a view) is copied.
-    Products run in the matrix's dtype: the input is rounded to it and the
-    result widened to float64, both no-ops for a float64 matrix.
+    Products run in the matrix's dtype: the input is rounded to it, and a
+    result made without ``out`` is widened to float64, both no-ops for a
+    float64 matrix.
     """
 
     def __init__(self, matrix):
@@ -187,12 +119,12 @@ class DenseOperator(LinearOperator):
         super().__init__(matrix.shape[1], matrix.shape[0])
 
     def _apply(self, x, out=None):
-        x = x.astype(self.matrix.dtype, copy=False)
-        return np.matmul(self.matrix, x, out=out).astype(np.float64, copy=False)
+        ax = np.matmul(self.matrix, x.astype(self.matrix.dtype, copy=False), out=out)
+        return ax if out is not None else ax.astype(np.float64, copy=False)
 
     def _adjoint(self, y, out=None):
-        y = y.astype(self.matrix.dtype, copy=False)
-        return np.matmul(self.matrix.T, y, out=out).astype(np.float64, copy=False)
+        aty = np.matmul(self.matrix.T, y.astype(self.matrix.dtype, copy=False), out=out)
+        return aty if out is not None else aty.astype(np.float64, copy=False)
 
     def float32(self) -> "DenseOperator | None":
         """A twin over a float32 copy of the matrix, or ``None`` below ``FLOAT32_MIN_ENTRIES``.
@@ -295,6 +227,67 @@ class PartialFourier2D(LinearOperator):
         return out
 
 
+# image size -> its shared (4, size) work set, dropped with its last operator
+_WORK_SETS = weakref.WeakValueDictionary()
+
+
+class _WorkSetOperator(LinearOperator):
+    """An operator whose scratch is the work set shared per image size.
+
+    :class:`Blur2D`, :class:`HaarSynthesis2D` and :class:`ComposedOperator`
+    (sized by its intermediate) share one ``(4, size)`` float64 array per
+    flat image size: it is created for the first operator of its size and
+    dropped with the last. Its rows are scratch between calls: rows 0 and
+    1 hold the blur's window sums, row 2 the Haar transforms' scratch and
+    row 3 a composition's intermediate. One shared set is safe because the
+    package is single-threaded and no public ``apply`` / ``adjoint`` runs
+    inside another operator call; operators of one size must not be called
+    from several threads at once. A returned array never shares memory
+    with the set.
+
+    From ``FLOAT32_MIN_ENTRIES`` pixels up, ``float32()`` returns a twin
+    whose ``_work`` views the same memory as eight float32 images, so a
+    twin holds no array of its own. Rows 0 to 3 keep their use; row 4
+    holds a twin's input rounded to float32 and row 5 its float32 result,
+    which is widened into the returned float64 array. Rows 6 and 7 are
+    unused. Kernels run through :meth:`_in_work_dtype`.
+    """
+
+    def __init__(self, domain_dim: int, range_dim: int, size: int):
+        self._work = _WORK_SETS.get(size)
+        if self._work is None:
+            self._work = _WORK_SETS[size] = np.empty((4, size))
+        super().__init__(domain_dim, range_dim)
+
+    def float32(self) -> "_WorkSetOperator | None":
+        """A twin on the float32 view of the work set, or ``None`` below the size rule."""
+        if self._work.shape[1] < FLOAT32_MIN_ENTRIES:
+            return None
+        twin = copy.copy(self)
+        twin._work = self._work.view(np.float32).reshape(8, -1)
+        return twin
+
+    def _in_work_dtype(self, kernel, v, out, *args):
+        """``kernel(v, out, *args)`` in the work set's dtype; returns ``out``.
+
+        ``out`` defaults to a fresh float64 array. On the float64 set this
+        is the call itself. On a twin's float32 view a float64 ``v`` is
+        rounded once into row 4, and a float32 ``out`` (a composition's
+        intermediate) is written directly, while a float64 one receives
+        the kernel's row-5 result widened.
+        """
+        work = self._work
+        if out is None:
+            out = np.empty(work.shape[1])
+        if v.dtype != work.dtype:
+            work[4] = v
+            v = work[4]
+        if out.dtype == work.dtype:
+            return kernel(v, out, *args)
+        out[...] = kernel(v, work[5], *args)
+        return out
+
+
 def _circular_add(out, a, da, b, db, n):
     """``out[j] = a[j + da] + b[j + db]`` along rows of length ``n``, modulo ``n``.
 
@@ -341,7 +334,7 @@ def _window_sums(v, m, start, n, unit, targets):
     return w
 
 
-class Blur2D(LinearOperator):
+class Blur2D(_WorkSetOperator):
     """Circular 2-D convolution with a uniform box kernel, by window sums.
 
     The kernel is ``mask_size x mask_size`` with total weight 1, centered
@@ -355,10 +348,9 @@ class Blur2D(LinearOperator):
     (``floor(log2 m) + popcount(m) - 1`` additions per direction). The
     column additions run over the flattened image, and the entries that
     wrap across rows are then written again. The additions ping-pong
-    between images 0 and 1 of the work set shared by the operators of
-    this size (see :class:`LinearOperator`) and the result, which is the
-    only array allocated; the sums are scaled by ``1 / mask_size**2``
-    into it.
+    between images 0 and 1 of the work set (see :class:`_WorkSetOperator`)
+    and the result, which is the only array allocated; the sums are
+    scaled by ``1 / mask_size**2`` into it.
     """
 
     def __init__(self, rows: int, cols: int, mask_size: int = 8):
@@ -367,13 +359,10 @@ class Blur2D(LinearOperator):
         self.mask_size = check_integer("mask_size", mask_size, minimum=1)
         if self.mask_size > min(rows, cols):
             raise ValueError("mask_size must be in [1, min(rows, cols)]")
-        self._work = _work_images(rows * cols)
-        super().__init__(rows * cols, rows * cols)
+        super().__init__(rows * cols, rows * cols, rows * cols)
 
     def _convolve(self, x, out, start):
         m, size = self.mask_size, self.rows * self.cols
-        if out is None:
-            out = np.empty(size)
         first, second = self._work[:2]
         along_cols = _window_sums(x, m, start, self.cols, 1, (first, second))
         spare = second if along_cols is first else first
@@ -384,15 +373,10 @@ class Blur2D(LinearOperator):
         return out
 
     def _apply(self, x, out=None):
-        return _run_in_work_dtype(self._work, self._convolve, x, out,
-                                  self.mask_size // 2 - self.mask_size + 1)
+        return self._in_work_dtype(self._convolve, x, out, self.mask_size // 2 - self.mask_size + 1)
 
     def _adjoint(self, y, out=None):
-        return _run_in_work_dtype(self._work, self._convolve, y, out, -(self.mask_size // 2))
-
-    def float32(self) -> "Blur2D | None":
-        """A twin on the float32 view of the work set, or ``None`` below ``FLOAT32_MIN_ENTRIES`` pixels."""
-        return _float32_twin(self)
+        return self._in_work_dtype(self._convolve, y, out, -(self.mask_size // 2))
 
 
 def haar_analysis_2d(image: np.ndarray, levels: int, out, tmp) -> np.ndarray:
@@ -454,15 +438,15 @@ def haar_synthesis_2d(coeffs: np.ndarray, levels: int, out, tmp) -> np.ndarray:
     return out
 
 
-class HaarSynthesis2D(LinearOperator):
+class HaarSynthesis2D(_WorkSetOperator):
     """Orthonormal 2-D Haar synthesis operator ``W``.
 
     The solver variable lives in wavelet-coefficient space: ``apply``
     synthesizes an image from coefficients and ``adjoint`` analyzes an
     image back into coefficients. ``W`` is square orthonormal, so
     ``W^T W = I``. ``levels = 0`` is the identity. The transforms take
-    their scratch from image 2 of the work set shared by the operators of
-    this size (see :class:`LinearOperator`).
+    their scratch from image 2 of the work set (see
+    :class:`_WorkSetOperator`).
     """
 
     def __init__(self, rows: int, cols: int, levels: int):
@@ -473,34 +457,27 @@ class HaarSynthesis2D(LinearOperator):
             raise ValueError(
                 f"image dims ({rows}, {cols}) not divisible by 2^{levels}"
             )
-        self._work = _work_images(rows * cols)
-        super().__init__(rows * cols, rows * cols)
+        super().__init__(rows * cols, rows * cols, rows * cols)
 
     def _transform(self, v, out, transform):
         shape = (self.rows, self.cols)
-        if out is None:
-            out = np.empty(v.size)
         transform(v.reshape(shape), self.levels, out.reshape(shape), self._work[2].reshape(shape))
         return out
 
     def _apply(self, x, out=None):
-        return _run_in_work_dtype(self._work, self._transform, x, out, haar_synthesis_2d)
+        return self._in_work_dtype(self._transform, x, out, haar_synthesis_2d)
 
     def _adjoint(self, y, out=None):
-        return _run_in_work_dtype(self._work, self._transform, y, out, haar_analysis_2d)
-
-    def float32(self) -> "HaarSynthesis2D | None":
-        """A twin on the float32 view of the work set, or ``None`` below ``FLOAT32_MIN_ENTRIES`` pixels."""
-        return _float32_twin(self)
+        return self._in_work_dtype(self._transform, y, out, haar_analysis_2d)
 
 
-class ComposedOperator(LinearOperator):
+class ComposedOperator(_WorkSetOperator):
     """Composition ``A = outer o inner`` (apply = outer(inner(x))).
 
     Applying the composition counts once, on the composition itself: it
     runs its constituents' ``_apply`` / ``_adjoint``, so their counters do
-    not move. The intermediate goes to image 3 of the work set shared by
-    the operators of its size (see :class:`LinearOperator`).
+    not move. The intermediate goes to image 3 of the work set of its size
+    (see :class:`_WorkSetOperator`).
     """
 
     def __init__(self, outer: LinearOperator, inner: LinearOperator):
@@ -511,8 +488,7 @@ class ComposedOperator(LinearOperator):
             )
         self.outer = outer
         self.inner = inner
-        self._work = _work_images(inner.range_dim)
-        super().__init__(inner.domain_dim, outer.range_dim)
+        super().__init__(inner.domain_dim, outer.range_dim, inner.range_dim)
 
     def _apply(self, x, out=None):
         return self.outer._apply(self.inner._apply(x, self._work[3]), out)
@@ -521,13 +497,14 @@ class ComposedOperator(LinearOperator):
         return self.inner._adjoint(self.outer._adjoint(y, self._work[3]), out)
 
     def float32(self) -> "ComposedOperator | None":
-        """A twin over its parts' twins, or ``None`` if either part has none.
+        """A twin over its parts' twins, or ``None`` if it or either part has none.
 
         The twin's intermediate is float32 row 3 of the work set, so one
         product rounds its input once and widens its result once.
         """
-        outer, inner = self.outer.float32(), self.inner.float32()
-        twin = None if outer is None or inner is None else _float32_twin(self)
+        twin = super().float32()
         if twin is not None:
-            twin.outer, twin.inner = outer, inner
+            twin.outer, twin.inner = self.outer.float32(), self.inner.float32()
+            if twin.outer is None or twin.inner is None:
+                return None
         return twin

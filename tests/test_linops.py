@@ -31,6 +31,11 @@ def image_ops_with_twins():
     return [blur, haar, ComposedOperator(blur, haar), Blur2D(256, 256, 7)]
 
 
+def blur_after_dense(rng):
+    """A 256x256 blur after a dense 65536x2 part: its twin has a dense twin inside."""
+    return ComposedOperator(Blur2D(256, 256, 8), DenseOperator(rng.standard_normal((256 * 256, 2))))
+
+
 def all_concrete_ops(rng):
     return [
         DenseOperator(rng.standard_normal((5, 9))),
@@ -112,9 +117,10 @@ class TestAdjointConsistency:
                 assert abs(lhs - rhs) <= bound, type(op).__name__
 
     def test_out_receives_the_same_bytes(self, rng):
-        # the private ``out=`` path a composition uses writes what the public call returns
+        # the private ``out=`` path a composition uses writes what the public call returns;
+        # a twin also takes a float32 ``out`` (a composition's intermediate) and returns it
         twins = [DenseOperator(rng.standard_normal((128, 512))).float32()]
-        twins += [op.float32() for op in image_ops_with_twins()]
+        twins += [op.float32() for op in image_ops_with_twins() + [blur_after_dense(rng)]]
         for op in all_concrete_ops(rng) + twins:
             x = rng.standard_normal(op.domain_dim)
             y = rng.standard_normal(op.range_dim)
@@ -122,17 +128,28 @@ class TestAdjointConsistency:
                 out = np.empty(public(v).size)
                 assert private(v, out) is out
                 assert out.tobytes() == public(v).tobytes(), type(op).__name__
+                if op in twins:
+                    out32 = np.empty(out.size, np.float32)
+                    assert private(v, out32) is out32, type(op).__name__
+                    assert out32.astype(np.float64).tobytes() == public(v).tobytes(), type(op).__name__
 
     def test_image_twins_match_float64_to_float32_rounding(self, rng):
         # one rounding of the input, float32 kernels, one widening of the result
-        for op in image_ops_with_twins():
+        dense_part = blur_after_dense(rng)
+        # |A| of that composition: its blur is nonnegative
+        magnitude = ComposedOperator(dense_part.outer, DenseOperator(np.abs(dense_part.inner.matrix)))
+        for op in image_ops_with_twins() + [dense_part]:
             twin = op.float32()
             for _ in range(3):
                 x = rng.standard_normal(op.domain_dim)
                 y = rng.standard_normal(op.range_dim)
-                for got, want in ((twin.apply(x), op.apply(x)), (twin.adjoint(y), op.adjoint(y))):
+                for got, want, v, absolute in ((twin.apply(x), op.apply(x), x, magnitude.apply),
+                                               (twin.adjoint(y), op.adjoint(y), y, magnitude.adjoint)):
+                    # a dense product sums 65536 float32 terms that may cancel: their
+                    # rounding scales with |A| |v|, not with the product itself
+                    scale = absolute(np.abs(v)) if op is dense_part else want
                     assert got.dtype == np.float64 and got.shape == want.shape
-                    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), type(op).__name__
+                    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(scale), type(op).__name__
                 lhs = float(twin.apply(x) @ y)
                 rhs = float(x @ twin.adjoint(y))
                 assert abs(lhs - rhs) <= 1e-6 * np.linalg.norm(x) * np.linalg.norm(y), type(op).__name__
