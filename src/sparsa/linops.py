@@ -28,13 +28,14 @@ class LinearOperator:
     its result into ``out`` when given, else into a fresh array, and
     returns it. Instances are immutable after construction except for the
     ``forward_count`` and ``adjoint_count`` application counters, which
-    only the public ``apply`` / ``adjoint`` advance.
+    only the public ``apply`` / ``adjoint`` advance: the hooks are the
+    uncounted products, run by a composition on its parts and by the
+    problem generators for their set-up, so a counter starts at 0.
 
     ``float32()`` returns a twin that runs the same kernels on float32
     arrays, or ``None`` when the operator has none (the default). A twin
     is a shallow copy: it holds the original's one pair of counts, so its
-    products count on the original and ``reset_counters()`` on either
-    resets both.
+    products count on the original.
     """
 
     def __init__(self, domain_dim: int, range_dim: int):
@@ -67,9 +68,6 @@ class LinearOperator:
     @property
     def matvec_total(self) -> int:
         return sum(self._counts)
-
-    def reset_counters(self):
-        self._counts[:] = [0, 0]
 
     def float32(self) -> "LinearOperator | None":
         """This operator's float32 twin, or ``None``: it has none."""
@@ -424,8 +422,6 @@ def haar_synthesis_2d(coeffs: np.ndarray, levels: int, out, tmp) -> np.ndarray:
     :func:`haar_analysis_2d`.
     """
     out[...] = coeffs
-    if levels == 0:
-        return out
     rows, cols = out.shape
     for r2, c2 in [(rows >> lv, cols >> lv) for lv in range(levels, 0, -1)]:
         r, c = 2 * r2, 2 * c2

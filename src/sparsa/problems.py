@@ -57,9 +57,9 @@ class LeastSquaresProblem:
 
     The gradient is A^T r with r = A x - b. Each instance owns its
     operator's matvec counter: one forward per objective evaluation, and
-    one adjoint per gradient whose residual is passed in (a forward more
-    when it is not). ``f_value(x)`` hands back the r it formed with f(x),
-    so a gradient at a point whose objective is known costs one product.
+    one adjoint per gradient. ``f_value(x)`` is the one place r is formed
+    and hands it back with f(x), so a gradient at a point whose objective
+    is known costs one product.
     """
 
     op: LinearOperator
@@ -75,10 +75,9 @@ class LeastSquaresProblem:
         return 0.5 * float(r @ r), r
 
     def f_grad(self, x, r=None) -> np.ndarray:
-        """A^T r, forming ``r = A x - b`` unless the residual at ``x`` is given."""
+        """A^T r, taking ``r`` from ``f_value(x)`` unless the residual at ``x`` is given."""
         if r is None:
-            r = self.op.apply(x)
-            r -= self.b
+            r = self.f_value(x)[1]
         return self.op.adjoint(r)
 
     @property
@@ -249,9 +248,10 @@ def gen_deblur(
     blur = Blur2D(rows, cols, mask_size)
     wave = HaarSynthesis2D(rows, cols, levels)
     op = ComposedOperator(blur, wave)
-    b = blur.apply(image.ravel()) + rng_noise.normal(0.0, noise_std, size=rows * cols)
-    x1 = wave.adjoint(b)
-    x_true = wave.adjoint(image.ravel())
+    # set-up products run the uncounted hooks, as the composition runs its parts
+    b = blur._apply(image.ravel()) + rng_noise.normal(0.0, noise_std, size=rows * cols)
+    x1 = wave._adjoint(b)
+    x_true = wave._adjoint(image.ravel())
     return LeastSquaresProblem(
         op=op,
         b=b,
@@ -293,11 +293,10 @@ def gen_tv_phantom(
         num_lines = max(1, round(rows * 6136.0 / 65536.0))  # ~24 lines at 256
     mask = radial_fourier_mask(rows, cols, num_lines, sampling_ratio, rng_matrix)
     op = PartialFourier2D(rows, cols, mask)
-    b = op.apply(phantom.ravel())
+    b = op._apply(phantom.ravel())  # uncounted set-up products
     if noise_std > 0:
         b = b + rng_noise.normal(0.0, noise_std, size=b.shape)
-    x1 = op.adjoint(b)
-    op.reset_counters()
+    x1 = op._adjoint(b)
     return LeastSquaresProblem(
         op=op,
         b=b,

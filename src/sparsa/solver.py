@@ -46,12 +46,11 @@ adjoint: a stage with ``iters`` iterations and ``trials`` trials
 (iterations plus backtracks) costs ``2 + trials + iters`` matvecs.
 
 Under continuation (a ``schedule``, see :mod:`sparsa.continuation`) one
-gradient at zero (2 matvecs: no residual is in hand) sizes a decreasing
-sequence of weights, and the stage loop
-runs once per weight from the last one's iterate: its own regularizer and
-tolerance, a fresh window, seed, ``(s, y)`` pair and prox state, and its
-own precision stages on the solve's one float32 view. The records and the
-summary count across all weights.
+gradient at zero sizes a decreasing sequence of weights, and the stage
+loop runs once per weight from the last one's iterate: its own
+regularizer and tolerance, a fresh window, seed, ``(s, y)`` pair and prox
+state, and its own precision stages on the solve's one float32 view. The
+records and the summary count across all weights.
 """
 
 from __future__ import annotations

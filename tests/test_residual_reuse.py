@@ -4,6 +4,9 @@
 the gradient at an accepted point as ``f_grad(x, r)``, one adjoint product.
 The iterates must be those of a solve whose gradient forms ``A x - b``
 again, bit for bit, and no residual may outlive the gradient it feeds.
+``f_value`` is the one place the residual is formed: every forward product
+of a solve is an objective evaluation, and a generated problem's counters
+start at 0.
 """
 
 import tracemalloc
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from sparsa.continuation import ContinuationSchedule, solve_with_continuation
+from sparsa.linops import ComposedOperator
 from sparsa.problems import (
     LeastSquaresProblem,
     gen_bpdn,
@@ -114,6 +118,39 @@ def test_iterates_match_a_recomputing_gradient(family, continuation):
         assert ref_stage["matvecs"] == 3 + trials + 2 * iters
     sizing = 2 if continuation else 0
     assert res.trace.summary.matvecs == sum(s["matvecs"] for s in res.stages) + sizing
+
+
+ACCOUNTED = {
+    "bpdn-256x1024": FAMILIES["bpdn-256x1024"],
+    "group": FAMILIES["group"],
+    "deblur-64": (lambda: gen_deblur(rows=64, cols=64, seed=0), SolverConfig(eps=1e-4)),
+    "tv-phantom-32": (lambda: gen_tv_phantom(rows=32, cols=32, seed=0, tau=0.01), SolverConfig(eps=1e-5)),
+}
+
+
+@pytest.mark.parametrize("continuation", [False, True], ids=["plain", "continuation"])
+@pytest.mark.parametrize("family", list(ACCOUNTED))
+def test_every_forward_is_an_objective_evaluation(family, continuation, monkeypatch):
+    make, cfg = ACCOUNTED[family]
+    problem = make()
+    op = problem.op
+    parts = [op, op.outer, op.inner] if isinstance(op, ComposedOperator) else [op]
+    # the generator's set-up products count nowhere
+    assert [(p.forward_count, p.adjoint_count) for p in parts] == [(0, 0)] * len(parts)
+    calls = dict.fromkeys(("f_value", "f_grad"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(LeastSquaresProblem, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        # patched on the class, so that calls on a float32 view count too
+        monkeypatch.setattr(LeastSquaresProblem, name, counted)
+    res = run(problem, cfg, continuation)
+
+    assert (op.forward_count, op.adjoint_count) == (calls["f_value"], calls["f_grad"])
+    assert res.trace.summary.matvecs == calls["f_value"] + calls["f_grad"] > 0
+    if family == "bpdn-256x1024":
+        assert "float32" in [s["precision"] for s in res.stages]
 
 
 def arrays_held(problem) -> set[int]:
